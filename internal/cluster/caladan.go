@@ -83,6 +83,13 @@ func (c *Caladan) Name() string { return "Caladan-" + c.P.Mode.String() }
 type calWorker struct {
 	queue core.FIFO[*job]
 	busy  bool
+	// A busy worker has exactly one event pending — the steal latency
+	// before stolen starts, or cur's completion — so one slot of each and
+	// two callbacks bound once per run replace a closure per event.
+	stolen  *job
+	cur     *job
+	onSteal func() // r.startStolen(w)
+	onDone  func() // r.finish(w)
 }
 
 type calRun struct {
@@ -94,7 +101,14 @@ type calRun struct {
 	rss     core.RSS
 	rand    *rng.Rand
 
+	// The IOKernel is a serial server: packets in service wait in iokQ
+	// (each with its RSS target in j.worker) and each schedules the one
+	// bound callback, onForward, at its hand-off instant. iokBusyUntil
+	// never decreases and the engine is FIFO at equal timestamps, so the
+	// callbacks fire in queue order.
 	iokBusyUntil sim.Time
+	iokQ         core.FIFO[*job]
+	onForward    func() // r.forward()
 }
 
 // newRun builds the run struct and its RX bound: only the IOKernel is
@@ -111,8 +125,11 @@ func (c *Caladan) newRun(cfg RunConfig) (*calRun, int) {
 	if c.P.Mode == IOKernel {
 		limit = c.P.RXQueue
 	}
+	r.onForward = r.forward
 	for w := range r.workers {
 		r.idle = append(r.idle, w)
+		r.workers[w].onSteal = func() { r.startStolen(w) }
+		r.workers[w].onDone = func() { r.finish(w) }
 	}
 	return r, limit
 }
@@ -147,21 +164,35 @@ func (r *calRun) inflate(s sim.Time) sim.Time {
 // admit implements machinePolicy: RSS steers the packet; in IOKernel
 // mode the IOKernel is a serial server between NIC and workers, and
 // the packet holds its ring slot until the IOKernel forwards it.
-func (r *calRun) admit(lane int, j *job) {
-	w := r.rss.Steer(j.id, len(r.workers))
+//
+//simvet:hotpath
+func (r *calRun) admit(_ int, j *job) {
+	j.worker = r.rss.Steer(j.id, len(r.workers))
 	if r.m.P.Mode == IOKernel {
-		now := r.eng.Now()
-		if r.iokBusyUntil < now {
-			r.iokBusyUntil = now
-		}
-		r.iokBusyUntil += r.m.P.IOKCost
-		r.eng.At(r.iokBusyUntil, func() {
-			r.adm.release(lane, j.tenant)
-			r.deliver(w, j)
-		})
+		r.iokTransit()
+		r.iokQ.Push(j)
+		r.eng.At(r.iokBusyUntil, r.onForward)
 	} else {
-		r.deliver(w, j)
+		r.deliver(j.worker, j)
 	}
+}
+
+// iokTransit charges the IOKernel for one packet direction.
+func (r *calRun) iokTransit() {
+	if now := r.eng.Now(); r.iokBusyUntil < now {
+		r.iokBusyUntil = now
+	}
+	r.iokBusyUntil += r.m.P.IOKCost
+}
+
+// forward is the IOKernel's bound callback: the head packet frees its
+// ring slot (the one lane) and reaches its worker.
+//
+//simvet:hotpath
+func (r *calRun) forward() {
+	j, _ := r.iokQ.Pop()
+	r.adm.release(0, j.tenant)
+	r.deliver(j.worker, j)
 }
 
 // deliver places a job on its RSS-steered worker's queue. If that
@@ -172,6 +203,8 @@ func (r *calRun) admit(lane int, j *job) {
 // Dispatch records where RSS (or the steal at delivery) bound the job;
 // under later stealing the quantum may run on a different core than
 // the one dispatched to, which the timeline shows faithfully.
+//
+//simvet:hotpath
 func (r *calRun) deliver(w int, j *job) {
 	wk := &r.workers[w]
 	if !wk.busy {
@@ -190,7 +223,8 @@ func (r *calRun) deliver(w int, j *job) {
 		twk := &r.workers[thief]
 		twk.busy = true
 		r.met.emit(r.eng.Now(), obs.Dispatch, j.id, j.class, int32(thief))
-		r.eng.After(r.m.P.StealCost, func() { r.runJob(thief, j) })
+		twk.stolen = j
+		r.eng.After(r.m.P.StealCost, twk.onSteal)
 		return
 	}
 	r.met.emit(r.eng.Now(), obs.Dispatch, j.id, j.class, int32(w))
@@ -209,29 +243,50 @@ func (r *calRun) removeIdle(w int) {
 
 // runJob executes j to completion on worker w (FCFS, no preemption):
 // exactly one quantum per task, ending in finish.
+//
+//simvet:hotpath
 func (r *calRun) runJob(w int, j *job) {
+	wk := &r.workers[w]
 	r.met.emit(r.eng.Now(), obs.QuantumStart, j.id, j.class, int32(w))
-	r.eng.After(j.remain, func() {
-		now := r.eng.Now()
-		r.met.emit(now, obs.QuantumEnd, j.id, j.class, int32(w))
-		r.met.emit(now, obs.Finish, j.id, j.class, int32(w))
-		r.met.record(j, r.eng.Now())
-		r.pool.put(j)
-		if r.m.P.Mode == IOKernel {
-			// Response transits the IOKernel; it does not block the
-			// worker, but consumes IOKernel capacity.
-			now := r.eng.Now()
-			if r.iokBusyUntil < now {
-				r.iokBusyUntil = now
-			}
-			r.iokBusyUntil += r.m.P.IOKCost
-		}
-		r.next(w)
-	})
+	wk.cur = j
+	r.eng.After(j.remain, wk.onDone)
+}
+
+// startStolen is worker w's bound steal callback: the steal latency has
+// elapsed and the stolen job starts.
+//
+//simvet:hotpath
+func (r *calRun) startStolen(w int) {
+	wk := &r.workers[w]
+	j := wk.stolen
+	wk.stolen = nil
+	r.runJob(w, j)
+}
+
+// finish is worker w's bound completion callback.
+//
+//simvet:hotpath
+func (r *calRun) finish(w int) {
+	wk := &r.workers[w]
+	j := wk.cur
+	wk.cur = nil
+	now := r.eng.Now()
+	r.met.emit(now, obs.QuantumEnd, j.id, j.class, int32(w))
+	r.met.emit(now, obs.Finish, j.id, j.class, int32(w))
+	r.met.record(j, now)
+	r.pool.put(j)
+	if r.m.P.Mode == IOKernel {
+		// Response transits the IOKernel; it does not block the
+		// worker, but consumes IOKernel capacity.
+		r.iokTransit()
+	}
+	r.next(w)
 }
 
 // next finds the worker's next job: its own queue first, then stealing
 // from the most loaded victim, else it goes idle and spins.
+//
+//simvet:hotpath
 func (r *calRun) next(w int) {
 	wk := &r.workers[w]
 	if j, ok := wk.queue.Pop(); ok {
@@ -249,8 +304,8 @@ func (r *calRun) next(w int) {
 		}
 	}
 	if victim >= 0 {
-		j, _ := r.workers[victim].queue.Pop()
-		r.eng.After(r.m.P.StealCost, func() { r.runJob(w, j) })
+		wk.stolen, _ = r.workers[victim].queue.Pop()
+		r.eng.After(r.m.P.StealCost, wk.onSteal)
 		return
 	}
 	wk.busy = false

@@ -58,13 +58,35 @@ type ctRun struct {
 	// free lists idle core indices. Worker identity is immaterial to the
 	// idealized model's results, but giving each core a stable index lets
 	// the machine share the per-core timeline vocabulary with the others.
-	free []int32
+	free  []int32
+	cores []ctCore
+}
+
+// ctCore is one serving core's pending event. A core is either running
+// a quantum of j (onEnd pending) or paying the switch overhead before
+// mounting j (onMount pending), never both, so one job slot and two
+// callbacks bound once per run carry what a closure per quantum used to
+// capture.
+type ctCore struct {
+	j       *job
+	slice   sim.Time // how long j runs this quantum
+	onEnd   func()   // r.quantumEnd(core)
+	onMount func()   // r.mount(j, core)
 }
 
 func (c *CentralizedPS) newRun(cfg RunConfig) *ctRun {
-	r := &ctRun{m: c, rank: newRanker(parseDiscipline(c.Discipline, pifo.RR), cfg)}
+	r := &ctRun{
+		m:     c,
+		rank:  newRanker(parseDiscipline(c.Discipline, pifo.RR), cfg),
+		cores: make([]ctCore, c.Workers),
+	}
 	for i := c.Workers - 1; i >= 0; i-- {
 		r.free = append(r.free, int32(i)) // pop from the end: core 0 first
+	}
+	for i := range r.cores {
+		core := int32(i)
+		r.cores[i].onEnd = func() { r.quantumEnd(core) }
+		r.cores[i].onMount = func() { r.mount(r.cores[core].j, core) }
 	}
 	return r
 }
@@ -111,58 +133,71 @@ func (r *ctRun) mount(j *job, core int32) {
 	r.runQuantum(j, core)
 }
 
-// runQuantum executes one quantum of j on the given core and decides
-// what the core does next at the quantum boundary.
+// runQuantum executes one quantum of j on the given core; quantumEnd
+// decides what the core does next at the quantum boundary.
+//
+//simvet:hotpath
 func (r *ctRun) runQuantum(j *job, core int32) {
 	slice := j.remain
 	if slice > r.m.Quantum {
 		slice = r.m.Quantum
 	}
-	r.eng.After(slice, func() {
-		j.remain -= slice
-		now := r.eng.Now()
-		if j.remain <= 0 {
-			r.met.emit(now, obs.QuantumEnd, j.id, j.class, core)
-			r.met.emit(now, obs.Finish, j.id, j.class, core)
-			r.met.record(j, now)
-			r.pool.put(j)
-			if next, _, ok := r.queue.Pop(); ok {
-				r.mount(next, core)
-			} else {
-				r.free = append(r.free, core)
-			}
-			return
-		}
-		// The switch rule: yield the core iff the queue head ranks at or
-		// below the running job at this boundary. Under rr the head's
-		// rank is its (earlier) queue time, so the rule is "switch
-		// whenever anything waits" — exactly round-robin PS. Under fcfs
-		// the head arrived later, ranks higher, and never wins — run to
-		// completion. Under srpt/edf/las the comparison is the policy.
-		_, headRank, ok := r.queue.Peek()
-		if !ok {
-			// Nothing else to run: keep executing the same job without
-			// a preemption (real PS would not switch). The open quantum
-			// extends rather than closing and reopening.
-			r.runQuantum(j, core)
-			return
-		}
-		myRank := r.rank.rank(j, now)
-		if headRank > myRank {
-			r.runQuantum(j, core)
-			return
-		}
-		next, _, _ := r.queue.Pop()
-		// Preempt: pay the switch overhead, requeue, run the next job.
+	c := &r.cores[core]
+	c.j, c.slice = j, slice
+	r.eng.After(slice, c.onEnd)
+}
+
+// quantumEnd is the core's bound quantum-boundary callback.
+//
+//simvet:hotpath
+func (r *ctRun) quantumEnd(core int32) {
+	c := &r.cores[core]
+	j := c.j
+	c.j = nil
+	j.remain -= c.slice
+	now := r.eng.Now()
+	if j.remain <= 0 {
 		r.met.emit(now, obs.QuantumEnd, j.id, j.class, core)
-		r.met.emit(now, obs.Preempt, j.id, j.class, core)
-		r.queue.Push(j, myRank)
-		if r.m.PreemptOverhead > 0 {
-			r.eng.After(r.m.PreemptOverhead, func() { r.mount(next, core) })
-		} else {
+		r.met.emit(now, obs.Finish, j.id, j.class, core)
+		r.met.record(j, now)
+		r.pool.put(j)
+		if next, _, ok := r.queue.Pop(); ok {
 			r.mount(next, core)
+		} else {
+			r.free = append(r.free, core)
 		}
-	})
+		return
+	}
+	// The switch rule: yield the core iff the queue head ranks at or
+	// below the running job at this boundary. Under rr the head's
+	// rank is its (earlier) queue time, so the rule is "switch
+	// whenever anything waits" — exactly round-robin PS. Under fcfs
+	// the head arrived later, ranks higher, and never wins — run to
+	// completion. Under srpt/edf/las the comparison is the policy.
+	_, headRank, ok := r.queue.Peek()
+	if !ok {
+		// Nothing else to run: keep executing the same job without
+		// a preemption (real PS would not switch). The open quantum
+		// extends rather than closing and reopening.
+		r.runQuantum(j, core)
+		return
+	}
+	myRank := r.rank.rank(j, now)
+	if headRank > myRank {
+		r.runQuantum(j, core)
+		return
+	}
+	next, _, _ := r.queue.Pop()
+	// Preempt: pay the switch overhead, requeue, run the next job.
+	r.met.emit(now, obs.QuantumEnd, j.id, j.class, core)
+	r.met.emit(now, obs.Preempt, j.id, j.class, core)
+	r.queue.Push(j, myRank)
+	if r.m.PreemptOverhead > 0 {
+		c.j = next
+		r.eng.After(r.m.PreemptOverhead, c.onMount)
+	} else {
+		r.mount(next, core)
+	}
 }
 
 var _ Machine = (*CentralizedPS)(nil)

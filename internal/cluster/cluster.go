@@ -265,12 +265,11 @@ func (r *Result) P999Slowdown(class string) float64 {
 		}
 		return c.Slowdown.P999()
 	}
-	pooled := stats.NewSample(0)
+	parts := make([]*stats.Sample, len(r.PerClass))
 	for i := range r.PerClass {
-		for _, v := range r.PerClass[i].Slowdown.Values() {
-			pooled.Add(v)
-		}
+		parts[i] = r.PerClass[i].Slowdown
 	}
+	pooled := stats.Pool(parts...)
 	if pooled.Len() == 0 {
 		return 0
 	}
@@ -305,6 +304,18 @@ type metrics struct {
 // per-batch costs, small enough that the buffer stays cache-resident.
 const obsBatchCap = 256
 
+// sampleHint sizes a latency sample for the given share of the run's
+// traffic: the in-window arrivals the configured rate implies, plus 3%
+// and a constant for the arrival process's spread. Sized once, a sample
+// records the whole run without regrowing (append-doubling from 1024
+// allocated ~4x the final size on the way up). It is only a hint — Add
+// appends, so a run that completes more than its Rate says (closed-loop
+// users, a fleet node's informational Rate) grows the sample as before.
+func sampleHint(cfg RunConfig, ratio float64) int {
+	n := cfg.Rate * (cfg.Duration - cfg.Warmup).Seconds() * ratio
+	return int(n) + int(n)/32 + 64
+}
+
 func newMetrics(cfg RunConfig) *metrics {
 	m := &metrics{cfg: cfg}
 	if b, ok := cfg.Obs.(obs.BatchRecorder); ok {
@@ -312,17 +323,18 @@ func newMetrics(cfg RunConfig) *metrics {
 		m.obsBuf = make([]obs.Event, 0, obsBatchCap)
 	}
 	for _, c := range cfg.Workload.Classes {
+		n := sampleHint(cfg, c.Ratio)
 		m.perClass = append(m.perClass, ClassMetrics{
 			Name:     c.Name,
-			Sojourn:  stats.NewSample(1024),
-			Slowdown: stats.NewSample(1024),
+			Sojourn:  stats.NewSample(n),
+			Slowdown: stats.NewSample(n),
 		})
 	}
 	m.slo = sloTargets(cfg)
 	for _, t := range cfg.Tenants {
 		m.perTenant = append(m.perTenant, TenantMetrics{
 			Name:    t.Name,
-			Sojourn: stats.NewSample(1024),
+			Sojourn: stats.NewSample(sampleHint(cfg, t.Ratio)),
 		})
 	}
 	if len(cfg.Tenants) > 0 {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/obs"
@@ -219,6 +220,110 @@ func TestRegistryNewQ(t *testing.T) {
 			res := e.NewQ(sim.Micros(4)).Run(cfg)
 			if res.Offered == 0 {
 				t.Error("quantum-parameterized machine resolved no requests")
+			}
+		})
+	}
+}
+
+// TestRegistrySteadyStateAllocs is the machine-level allocation guard:
+// for every registered machine, doubling a run's length must add
+// (almost) no allocations — every per-event callback is bound once per
+// run and every per-request record is pooled, so what a run allocates is
+// set-up plus one-time growth, not a function of how many events it
+// executes. The bound is on the marginal cost, Mallocs(2T) − Mallocs(T)
+// over the extra events, which cancels set-up exactly; a closure per
+// quantum or per request (0.58–1.23 allocs/event before the callbacks
+// were bound) fails it by two orders of magnitude. Not parallel: it
+// reads the process-wide malloc counter.
+func TestRegistrySteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the zero-alloc guarantee is for production builds")
+	}
+	// 40% load keeps every variant stable (TQ-SLOW-YIELD saturates near
+	// 55%): past saturation the backlog, and with it the job pool, grows
+	// with the run — live-set growth, not per-event churn.
+	eb := workload.ExtremeBimodal()
+	cfg := RunConfig{
+		Workload: eb,
+		Rate:     0.4 * eb.MaxLoad(16),
+		Duration: 20 * sim.Millisecond,
+		Warmup:   sim.Millisecond,
+		Seed:     7,
+	}
+	measure := func(e Entry, d sim.Time) (mallocs, events uint64) {
+		c := cfg
+		c.Duration = d
+		m := e.New()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := m.Run(c)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, res.Events
+	}
+	for _, name := range Names() {
+		e := MustLookup(name)
+		t.Run(name, func(t *testing.T) {
+			m1, e1 := measure(e, cfg.Duration)
+			m2, e2 := measure(e, 2*cfg.Duration)
+			if e2 <= e1 {
+				t.Fatalf("doubling the run did not add events: %d then %d", e1, e2)
+			}
+			extra := float64(int64(m2) - int64(m1))
+			perEvent := extra / float64(e2-e1)
+			t.Logf("%d mallocs / %d events at T, %d / %d at 2T: %.5f allocs per extra event", m1, e1, m2, e2, perEvent)
+			if perEvent > 0.01 {
+				t.Errorf("steady state allocates %.4f times per event, want <= 0.01 (a callback literal or unpooled record on the event path?)", perEvent)
+			}
+		})
+	}
+}
+
+// TestSampleHintNeverTruncates runs closed loops — where think time and
+// not Rate governs arrivals — that complete far more requests than the
+// Rate-derived sample size hint predicts, with and without tenants, and
+// checks every completion still landed in its samples: the hint only
+// pre-sizes.
+func TestSampleHintNeverTruncates(t *testing.T) {
+	hb := workload.HighBimodal()
+	for name, cfg := range map[string]RunConfig{
+		"closed-loop": {
+			Workload: hb,
+			Rate:     1, // informational for closed loops; the hint sees ~0 requests
+			Arrivals: "closed:users=32,think=20us",
+			Duration: 5 * sim.Millisecond,
+			Warmup:   500 * sim.Microsecond,
+			Seed:     3,
+		},
+		"tenants": {
+			Workload: hb,
+			Rate:     1,
+			Arrivals: "closed:users=32,think=20us",
+			Tenants:  []workload.Tenant{{Name: "a", Ratio: 0.5}, {Name: "b", Ratio: 0.5}},
+			Duration: 5 * sim.Millisecond,
+			Warmup:   500 * sim.Microsecond,
+			Seed:     3,
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			hint := sampleHint(cfg, 1)
+			res := NewTQ(NewTQParams()).Run(cfg)
+			if res.Completed <= uint64(hint) {
+				t.Fatalf("run completed %d requests, not past the size hint %d; the case tests nothing", res.Completed, hint)
+			}
+			var total uint64
+			for _, c := range res.PerClass {
+				total += c.Count
+				if int(c.Count) != c.Sojourn.Len() || int(c.Count) != c.Slowdown.Len() {
+					t.Errorf("class %s: count %d but %d sojourn / %d slowdown samples", c.Name, c.Count, c.Sojourn.Len(), c.Slowdown.Len())
+				}
+			}
+			if total != res.Completed {
+				t.Errorf("class counts sum to %d, completed %d", total, res.Completed)
+			}
+			for _, tm := range res.PerTenant {
+				if int(tm.Completed) != tm.Sojourn.Len() {
+					t.Errorf("tenant %s: completed %d but %d sojourn samples", tm.Name, tm.Completed, tm.Sojourn.Len())
+				}
 			}
 		})
 	}

@@ -19,7 +19,8 @@ import (
 // The machine is also this package's template for expressing a new
 // system purely as kernel policies (see EXPERIMENTS.md "Adding a
 // machine"): the three machinePolicy methods below are the entire
-// arrival path, and the run loop is one worker callback.
+// arrival path, and the run loop is one worker callback, bound once per
+// run.
 
 // DFCFSParams configures the d-FCFS baseline.
 type DFCFSParams struct {
@@ -74,6 +75,11 @@ func (d *DFCFS) Name() string { return disciplineName("d-FCFS", d.P.Discipline) 
 type dfWorker struct {
 	queue pifo.Queue[*job]
 	busy  bool
+	// cur is the job in service. A worker runs one job at a time, so its
+	// completion is one callback bound once per run plus this slot — not
+	// a closure per job, which would put an allocation on every event.
+	cur    *job
+	onDone func() // r.finish(w)
 }
 
 type dfRun struct {
@@ -85,11 +91,15 @@ type dfRun struct {
 }
 
 func (d *DFCFS) newRun(cfg RunConfig) *dfRun {
-	return &dfRun{
+	r := &dfRun{
 		m:       d,
 		rank:    newRanker(parseDiscipline(d.P.Discipline, pifo.FCFS), cfg),
 		workers: make([]dfWorker, d.P.Workers),
 	}
+	for w := range r.workers {
+		r.workers[w].onDone = func() { r.finish(w) }
+	}
+	return r
 }
 
 // Run implements Machine.
@@ -141,24 +151,36 @@ func (r *dfRun) admit(lane int, j *job) {
 	r.runJob(lane, j)
 }
 
-// runJob executes j to completion on worker w — FCFS, one quantum per
-// job — then takes the queue head or goes idle.
+// runJob starts j on worker w — FCFS, one quantum per job, run to
+// completion.
+//
+//simvet:hotpath
 func (r *dfRun) runJob(w int, j *job) {
+	wk := &r.workers[w]
 	r.met.emit(r.eng.Now(), obs.QuantumStart, j.id, j.class, int32(w))
-	r.eng.After(j.remain, func() {
-		now := r.eng.Now()
-		r.met.emit(now, obs.QuantumEnd, j.id, j.class, int32(w))
-		r.met.emit(now, obs.Finish, j.id, j.class, int32(w))
-		r.met.record(j, now)
-		r.pool.put(j)
-		wk := &r.workers[w]
-		if next, _, ok := wk.queue.Pop(); ok {
-			r.adm.release(w, next.tenant)
-			r.runJob(w, next)
-			return
-		}
-		wk.busy = false
-	})
+	wk.cur = j
+	r.eng.After(j.remain, wk.onDone)
+}
+
+// finish is worker w's bound completion callback: retire the job in
+// service, then take the queue head or go idle.
+//
+//simvet:hotpath
+func (r *dfRun) finish(w int) {
+	wk := &r.workers[w]
+	j := wk.cur
+	wk.cur = nil
+	now := r.eng.Now()
+	r.met.emit(now, obs.QuantumEnd, j.id, j.class, int32(w))
+	r.met.emit(now, obs.Finish, j.id, j.class, int32(w))
+	r.met.record(j, now)
+	r.pool.put(j)
+	if next, _, ok := wk.queue.Pop(); ok {
+		r.adm.release(w, next.tenant)
+		r.runJob(w, next)
+		return
+	}
+	wk.busy = false
 }
 
 var _ Machine = (*DFCFS)(nil)

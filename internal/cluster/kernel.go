@@ -154,6 +154,53 @@ func (p *Pump) Done(t sim.Time) {
 // feedback to make progress.
 func (p *Pump) ClosedLoop() bool { return p.stream.ClosedLoop() }
 
+// genTimers schedules callbacks that a generation counter may make
+// stale before they fire. The engine has no cancellation, so a machine
+// whose cores race two outcomes (Shinjuku's completion against its
+// preemption timer, the oracle's slice against an SRPT preemption) lets
+// the loser fire and drops it on a generation mismatch. Any number of
+// stale events can be pending per core, so their arguments cannot live
+// on the core the way a single in-flight quantum does: each takes a
+// record from a per-run freelist, as jobPool does for jobs, and the
+// record carries a callback bound once, when the record is first made.
+type genTimers struct {
+	fire func(kind uint8, core int, gen uint64) // the machine's handler
+	free []*genTimer
+}
+
+type genTimer struct {
+	kind uint8
+	core int
+	gen  uint64
+	fn   func() // set once by grow
+}
+
+// after schedules fire(kind, core, gen) on eng, d from now. The handler
+// decides staleness; the record is back on the freelist before it runs.
+//
+//simvet:hotpath
+func (t *genTimers) after(eng *sim.Engine, d sim.Time, kind uint8, core int, gen uint64) {
+	if len(t.free) == 0 {
+		t.grow()
+	}
+	e := t.free[len(t.free)-1]
+	t.free = t.free[:len(t.free)-1]
+	e.kind, e.core, e.gen = kind, core, gen
+	eng.After(d, e.fn)
+}
+
+// grow adds one record to the freelist; the pool settles at the
+// high-water count of pending timers.
+func (t *genTimers) grow() {
+	e := &genTimer{}
+	e.fn = func() {
+		kind, core, gen := e.kind, e.core, e.gen
+		t.free = append(t.free, e)
+		t.fire(kind, core, gen)
+	}
+	t.free = append(t.free, e)
+}
+
 // machineRun is the shared state of one scheduling run. Machine run
 // structs embed it and reach the engine, metrics, admission gate, and
 // job pool through the embedded fields, exactly as they did when each

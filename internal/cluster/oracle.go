@@ -40,9 +40,9 @@ func NewOracle(workers int) *Oracle {
 func (o *Oracle) Name() string { return "Oracle-SRPT" }
 
 // oracleCore is one serving core's state. gen is a generation counter
-// guarding the pending completion callback: the engine has no event
-// cancellation, so a preemption bumps gen and the stale callback
-// no-ops when it fires.
+// guarding the pending completion timer: the engine has no event
+// cancellation, so a preemption bumps gen and the stale timer no-ops
+// when it fires.
 type oracleCore struct {
 	j          *job
 	sliceStart sim.Time // when j last mounted; remaining = j.remain - (now - sliceStart)
@@ -56,14 +56,19 @@ type oracleRun struct {
 	rank  ranker
 	queue pifo.Queue[*job] // preempted and not-yet-started jobs, SRPT order
 	cores []oracleCore
+	// timers carries the per-slice completion events, which a
+	// preemption may outdate before they fire.
+	timers genTimers
 }
 
 func (o *Oracle) newRun(cfg RunConfig) *oracleRun {
-	return &oracleRun{
+	r := &oracleRun{
 		m:     o,
 		rank:  newRanker(pifo.SRPT, cfg),
 		cores: make([]oracleCore, o.Workers),
 	}
+	r.timers.fire = r.sliceEnd
+	return r
 }
 
 // Run implements Machine.
@@ -126,22 +131,29 @@ func (r *oracleRun) preempt(core int, now sim.Time) {
 
 // start mounts j on an idle core and schedules its completion. The
 // slice runs j to its full remaining demand; if a shorter job preempts
-// first, the generation check discards the stale callback.
+// first, the generation check discards the stale timer.
+//
+//simvet:hotpath
 func (r *oracleRun) start(j *job, core int) {
 	now := r.eng.Now()
 	c := &r.cores[core]
 	c.j = j
 	c.sliceStart = now
 	c.gen++
-	gen := c.gen
 	r.met.emit(now, obs.Dispatch, j.id, j.class, int32(core))
 	r.met.emit(now, obs.QuantumStart, j.id, j.class, int32(core))
-	r.eng.After(j.remain, func() {
-		if r.cores[core].gen != gen {
-			return // preempted mid-slice; the job was requeued
-		}
-		r.complete(core)
-	})
+	r.timers.after(r.eng, j.remain, 0, core, c.gen)
+}
+
+// sliceEnd handles the completion timer start armed (the oracle has one
+// kind of timer).
+//
+//simvet:hotpath
+func (r *oracleRun) sliceEnd(_ uint8, core int, gen uint64) {
+	if r.cores[core].gen != gen {
+		return // preempted mid-slice; the job was requeued
+	}
+	r.complete(core)
 }
 
 // complete retires the core's finished job and mounts the next-shortest

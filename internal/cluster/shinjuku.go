@@ -88,6 +88,11 @@ type sjWorker struct {
 	gen     uint64
 	current *job
 	started sim.Time // when the current dispatch began running
+	// interrupted is the preempted job sitting out the interrupt
+	// overhead; onResume (bound once per run) requeues it. The worker is
+	// neither idle nor busy meanwhile, so there is at most one.
+	interrupted *job
+	onResume    func() // r.resume(w)
 }
 
 type sjRun struct {
@@ -107,22 +112,53 @@ type sjRun struct {
 	schedOps core.FIFO[dispOp]
 	netOps   core.FIFO[dispOp]
 	dispBusy bool
+	// serving is the one op in service; onServed (bound once per run)
+	// applies it when its cost has elapsed.
+	serving  dispOp
+	onServed func() // r.served()
 
-	// achieved records the realized preemption intervals, used by the
-	// Figure 16 dispatcher-scalability experiment.
-	achieved *stats.Sample
+	// timers carries the per-mount completion and quantum-expiry
+	// events, which a worker's generation may outdate before they fire.
+	timers genTimers
+
+	// achieved accumulates the realized preemption intervals, used by
+	// the Figure 16 dispatcher-scalability experiment.
+	achieved stats.RunningMean
 }
 
+// dispOp is one unit of dispatcher work, typed rather than a closure so
+// queueing one allocates nothing.
 type dispOp struct {
-	cost sim.Time
-	fn   func()
+	kind dispOpKind
+	w    int    // opAssign, opIPI: the worker
+	gen  uint64 // opIPI: the mount the interrupt was aimed at
+	j    *job   // opNet, opAssign: the request
 }
 
-// dispatcherOp enqueues work on the dispatcher core. Scheduling ops
-// (sched=true) are served before packet ops.
-func (r *sjRun) dispatcherOp(sched bool, cost sim.Time, fn func()) {
-	op := dispOp{cost: cost, fn: fn}
-	if sched {
+type dispOpKind uint8
+
+const (
+	opNet    dispOpKind = iota // RX, parse, enqueue an incoming request
+	opResp                     // send a response out
+	opAssign                   // hand a queued job to an idle worker
+	opIPI                      // post a preemption interrupt
+)
+
+// sched reports whether the op is scheduling work, which the dispatcher
+// serves before packet processing.
+func (k dispOpKind) sched() bool { return k == opAssign || k == opIPI }
+
+// Kinds of generation-guarded worker timers (genTimers).
+const (
+	sjComplete uint8 = iota // the mounted job's natural completion
+	sjExpiry                // the mount's quantum ran out
+)
+
+// dispatcherOp enqueues work on the dispatcher core.
+//
+//simvet:hotpath
+func (r *sjRun) dispatcherOp(op dispOp) {
+	if op.kind.sched() {
 		r.schedOps.Push(op)
 	} else {
 		r.netOps.Push(op)
@@ -130,6 +166,21 @@ func (r *sjRun) dispatcherOp(sched bool, cost sim.Time, fn func()) {
 	r.serveDispatcher()
 }
 
+// cost is the dispatcher time an op of the given kind takes.
+func (r *sjRun) cost(k dispOpKind) sim.Time {
+	switch k {
+	case opNet:
+		return r.m.P.NetCost
+	case opResp:
+		return r.m.P.RespCost
+	case opAssign:
+		return r.m.P.SchedCost
+	default:
+		return r.m.P.IPICost
+	}
+}
+
+//simvet:hotpath
 func (r *sjRun) serveDispatcher() {
 	if r.dispBusy {
 		return
@@ -142,11 +193,32 @@ func (r *sjRun) serveDispatcher() {
 		return
 	}
 	r.dispBusy = true
-	r.eng.After(op.cost, func() {
-		op.fn()
-		r.dispBusy = false
-		r.serveDispatcher()
-	})
+	r.serving = op
+	r.eng.After(r.cost(op.kind), r.onServed)
+}
+
+// served is the dispatcher's bound callback: the op in service takes
+// effect and the dispatcher turns to the next one.
+//
+//simvet:hotpath
+func (r *sjRun) served() {
+	op := r.serving
+	r.serving = dispOp{}
+	switch op.kind {
+	case opNet:
+		// The request held its RX slot (the one lane) until now.
+		r.adm.release(0, op.j.tenant)
+		r.enqueue(op.j)
+	case opAssign:
+		r.startOn(op.w, op.j)
+	case opIPI:
+		// Skip if the job finished while the IPI was in flight.
+		if r.workers[op.w].gen == op.gen {
+			r.preempt(op.w)
+		}
+	}
+	r.dispBusy = false
+	r.serveDispatcher()
 }
 
 // Run implements Machine.
@@ -157,23 +229,25 @@ func (s *Shinjuku) Run(cfg RunConfig) *Result {
 
 // RunMeasured also returns the realized preemption intervals (the
 // "average quantum scheduled by the dispatcher" of §5.6).
-func (s *Shinjuku) RunMeasured(cfg RunConfig) (*Result, *stats.Sample) {
+func (s *Shinjuku) RunMeasured(cfg RunConfig) (*Result, stats.RunningMean) {
 	return s.run(cfg)
 }
 
 func (s *Shinjuku) newRun() *sjRun {
 	r := &sjRun{
-		m:        s,
-		workers:  make([]sjWorker, s.P.Workers),
-		achieved: stats.NewSample(1024),
+		m:       s,
+		workers: make([]sjWorker, s.P.Workers),
 	}
+	r.onServed = r.served
+	r.timers.fire = r.onTimer
 	for w := range r.workers {
 		r.idle = append(r.idle, w)
+		r.workers[w].onResume = func() { r.resume(w) }
 	}
 	return r
 }
 
-func (s *Shinjuku) run(cfg RunConfig) (*Result, *stats.Sample) {
+func (s *Shinjuku) run(cfg RunConfig) (*Result, stats.RunningMean) {
 	r := s.newRun()
 	// A saturated dispatcher drops packets at the RX ring. The ring
 	// holds incoming requests only — outgoing responses use their own
@@ -194,11 +268,8 @@ func (s *Shinjuku) NewNode(eng *sim.Engine, cfg RunConfig) Node {
 
 // admit implements machinePolicy: the request occupies its RX slot
 // until the dispatcher's packet-processing op finishes with it.
-func (r *sjRun) admit(lane int, j *job) {
-	r.dispatcherOp(false, r.m.P.NetCost, func() {
-		r.adm.release(lane, j.tenant)
-		r.enqueue(j)
-	})
+func (r *sjRun) admit(_ int, j *job) {
+	r.dispatcherOp(dispOp{kind: opNet, j: j})
 }
 
 // enqueue adds a job to the central queue and, if a worker is idle,
@@ -215,7 +286,7 @@ func (r *sjRun) tryAssign() {
 	w := r.idle[len(r.idle)-1]
 	r.idle = r.idle[:len(r.idle)-1]
 	j, _ := r.queue.Pop()
-	r.dispatcherOp(true, r.m.P.SchedCost, func() { r.startOn(w, j) })
+	r.dispatcherOp(dispOp{kind: opAssign, w: w, j: j})
 }
 
 // startOn begins executing j on worker w. Two events race: natural
@@ -223,39 +294,43 @@ func (r *sjRun) tryAssign() {
 // quantum expiry (the interrupt lands late if the dispatcher is busy —
 // the job keeps running meanwhile, which is exactly the quantum
 // inflation Figure 16 measures).
+//
+//simvet:hotpath
 func (r *sjRun) startOn(w int, j *job) {
 	wk := &r.workers[w]
 	wk.busy = true
 	wk.gen++
 	wk.current = j
 	wk.started = r.eng.Now()
-	gen := wk.gen
 	// Every mount is a fresh dispatcher decision — a preempted job is
 	// re-dispatched, unlike TQ where it stays resident on its worker.
 	r.met.emit(wk.started, obs.Dispatch, j.id, j.class, int32(w))
 	r.met.emit(wk.started, obs.QuantumStart, j.id, j.class, int32(w))
 
-	r.eng.After(j.remain, func() {
-		if wk.gen != gen {
-			return // preempted before completing
-		}
-		r.complete(w, j)
-	})
+	r.timers.after(r.eng, j.remain, sjComplete, w, wk.gen)
 	if j.remain > r.m.P.Quantum {
-		r.eng.After(r.m.P.Quantum, func() {
-			if wk.gen != gen {
-				return // completed first (cannot happen given remain>quantum, but stay safe)
-			}
-			// The dispatcher posts the IPI when it gets to this op;
-			// until then the worker keeps executing the job.
-			r.dispatcherOp(true, r.m.P.IPICost, func() {
-				if wk.gen != gen {
-					return // job finished while the IPI was in flight
-				}
-				r.preempt(w)
-			})
-		})
+		r.timers.after(r.eng, r.m.P.Quantum, sjExpiry, w, wk.gen)
 	}
+}
+
+// onTimer handles a worker timer armed by startOn; a generation
+// mismatch means the worker has moved on and the event is stale.
+//
+//simvet:hotpath
+func (r *sjRun) onTimer(kind uint8, w int, gen uint64) {
+	wk := &r.workers[w]
+	if wk.gen != gen {
+		// sjComplete: preempted before completing. sjExpiry: completed
+		// first (cannot happen given remain>quantum, but stay safe).
+		return
+	}
+	if kind == sjComplete {
+		r.complete(w, wk.current)
+		return
+	}
+	// The dispatcher posts the IPI when it gets to this op; until then
+	// the worker keeps executing the job.
+	r.dispatcherOp(dispOp{kind: opIPI, w: w, gen: gen})
 }
 
 func (r *sjRun) complete(w int, j *job) {
@@ -269,7 +344,7 @@ func (r *sjRun) complete(w int, j *job) {
 	r.pool.put(j)
 	// Response goes out through the networking half of the centralized
 	// core.
-	r.dispatcherOp(false, r.m.P.RespCost, func() {})
+	r.dispatcherOp(dispOp{kind: opResp})
 	r.idle = append(r.idle, w)
 	r.tryAssign()
 }
@@ -277,6 +352,8 @@ func (r *sjRun) complete(w int, j *job) {
 // preempt interrupts worker w: the job has run since wk.started, the
 // worker pays the interrupt overhead, and the job rejoins the tail of
 // the central queue.
+//
+//simvet:hotpath
 func (r *sjRun) preempt(w int) {
 	wk := &r.workers[w]
 	j := wk.current
@@ -294,11 +371,20 @@ func (r *sjRun) preempt(w int) {
 	wk.current = nil
 	r.met.emit(r.eng.Now(), obs.QuantumEnd, j.id, j.class, int32(w))
 	r.met.emit(r.eng.Now(), obs.Preempt, j.id, j.class, int32(w))
-	r.eng.After(r.m.P.InterruptOverhead, func() {
-		r.queue.Push(j)
-		r.idle = append(r.idle, w)
-		r.tryAssign()
-	})
+	wk.interrupted = j
+	r.eng.After(r.m.P.InterruptOverhead, wk.onResume)
+}
+
+// resume is worker w's bound callback: the interrupt overhead is paid,
+// the preempted job rejoins the queue and the worker is idle again.
+//
+//simvet:hotpath
+func (r *sjRun) resume(w int) {
+	wk := &r.workers[w]
+	r.queue.Push(wk.interrupted)
+	wk.interrupted = nil
+	r.idle = append(r.idle, w)
+	r.tryAssign()
 }
 
 var _ Machine = (*Shinjuku)(nil)

@@ -138,6 +138,15 @@ type tqWorker struct {
 	waiting  pifo.Queue[*job] // dispatch queue (no free coroutine yet)
 	idle     int              // idle coroutine count
 	running  bool
+	// The one in-flight quantum: step stages it here and schedules
+	// onEnd, which is bound once per run — a worker executes one quantum
+	// at a time, so one slot per worker carries what a closure per
+	// quantum used to capture.
+	cur   *job
+	slice sim.Time // how long cur runs this quantum
+	q     sim.Time // the quantum cur was cut to (class-dependent under TQ-TIMING)
+	end   sim.Time // when the quantum ends, before the yield switch
+	onEnd func()   // r.quantumEnd(w)
 	// Worker-side statistics the dispatcher reads (§4). finished wraps
 	// like a fixed-width counter would; the dispatcher recovers totals
 	// by deltas.
@@ -170,17 +179,22 @@ type tqRun struct {
 	bal     core.Balancer
 
 	// Dispatcher serial-server state, one entry per dispatcher core:
-	// busyUntil is when that dispatcher frees up; requests queue FIFO
-	// implicitly via the timestamp.
+	// busyUntil is when that dispatcher frees up. Requests in service
+	// wait in dispQ and each schedules the core's one bound callback,
+	// onDisp, at its hand-off instant: busyUntil never decreases and the
+	// engine is FIFO at equal timestamps, so the callbacks fire in queue
+	// order and each pops its own request.
 	dispBusyUntil []sim.Time
+	dispQ         []core.FIFO[*job]
+	onDisp        []func() // r.handOff(d)
 	rss           core.RSS
 	// lastRefresh is when the dispatcher last read the worker counters;
 	// its load view is stale by up to StatsPeriod (§4's periodic reads).
 	lastRefresh sim.Time
 
-	// achieved records realized preemption intervals (full quanta plus
-	// the yield switch), for the Figure 16 accuracy measurement.
-	achieved *stats.Sample
+	// achieved accumulates realized preemption intervals (full quanta
+	// plus the yield switch), for the Figure 16 accuracy measurement.
+	achieved stats.RunningMean
 }
 
 // Run implements Machine.
@@ -192,7 +206,7 @@ func (t *TQ) Run(cfg RunConfig) *Result {
 // RunMeasured also returns the realized preemption intervals — the
 // quantum sizes the workers actually schedule, compared against the
 // target in the §5.6 scalability experiment.
-func (t *TQ) RunMeasured(cfg RunConfig) (*Result, *stats.Sample) {
+func (t *TQ) RunMeasured(cfg RunConfig) (*Result, stats.RunningMean) {
 	return t.run(cfg)
 }
 
@@ -213,8 +227,9 @@ func (t *TQ) newRun(cfg RunConfig) (*tqRun, *workload.Stream) {
 		workers: make([]tqWorker, t.P.Workers),
 		tracker: core.NewLoadTracker(t.P.Workers, 32),
 	}
-	for i := range r.workers {
-		r.workers[i].idle = t.P.Coroutines
+	for w := range r.workers {
+		r.workers[w].idle = t.P.Coroutines
+		r.workers[w].onEnd = func() { r.quantumEnd(w) }
 	}
 	switch t.P.Balancer {
 	case BalanceJSQMSQ:
@@ -230,16 +245,20 @@ func (t *TQ) newRun(cfg RunConfig) (*tqRun, *workload.Stream) {
 	}
 	gen := cfg.Stream(r.rand.Split())
 	r.lastRefresh = -t.P.StatsPeriod // force a refresh on first dispatch
-	r.achieved = stats.NewSample(1024)
 	nDisp := t.P.Dispatchers
 	if nDisp <= 0 {
 		nDisp = 1
 	}
 	r.dispBusyUntil = make([]sim.Time, nDisp)
+	r.dispQ = make([]core.FIFO[*job], nDisp)
+	r.onDisp = make([]func(), nDisp)
+	for d := range r.onDisp {
+		r.onDisp[d] = func() { r.handOff(d) }
+	}
 	return r, gen
 }
 
-func (t *TQ) run(cfg RunConfig) (*Result, *stats.Sample) {
+func (t *TQ) run(cfg RunConfig) (*Result, stats.RunningMean) {
 	r, gen := t.newRun(cfg)
 	r.init(cfg, r, gen, t.P.RXQueue, len(r.dispBusyUntil))
 	res := r.run(t.name, t.P.RTT)
@@ -311,20 +330,33 @@ func (r *tqRun) observeDrop(req workload.Request) {
 // admit implements machinePolicy: the dispatcher, a serial server,
 // spends DispatchCost on the request and then forwards it. The RX-ring
 // slot is held until the dispatcher picks the request up.
+//
+//simvet:hotpath
 func (r *tqRun) admit(d int, j *job) {
 	now := r.eng.Now()
 	if r.dispBusyUntil[d] < now {
 		r.dispBusyUntil[d] = now
 	}
 	r.dispBusyUntil[d] += r.m.P.DispatchCost
-	r.eng.At(r.dispBusyUntil[d], func() {
-		r.adm.release(d, j.tenant)
-		r.dispatch(j)
-	})
+	r.dispQ[d].Push(j)
+	r.eng.At(r.dispBusyUntil[d], r.onDisp[d])
+}
+
+// handOff is dispatcher d's bound callback: the head request's
+// processing delay has elapsed, so it frees its RX slot and moves on to
+// a worker.
+//
+//simvet:hotpath
+func (r *tqRun) handOff(d int) {
+	j, _ := r.dispQ[d].Pop()
+	r.adm.release(d, j.tenant)
+	r.dispatch(j)
 }
 
 // dispatch runs after the dispatcher's processing delay: pick a worker
 // with the blind balancing policy and push onto its dispatch queue.
+//
+//simvet:hotpath
 func (r *tqRun) dispatch(j *job) {
 	r.refreshView()
 	w := r.bal.Pick(r.tracker)
@@ -352,6 +384,8 @@ func (r *tqRun) kick(w int) {
 // step executes one scheduler-coroutine iteration on worker w: admit
 // pending requests onto idle coroutines, then run one quantum of the
 // head coroutine.
+//
+//simvet:hotpath
 func (r *tqRun) step(w int) {
 	wk := &r.workers[w]
 	// Admission: the scheduler coroutine polls the dispatch queue when
@@ -387,39 +421,50 @@ func (r *tqRun) step(w int) {
 	// scheduler overhead, charged to the worker but not to the job's
 	// sojourn, so Finish and QuantumEnd share one timestamp.
 	now := r.eng.Now()
-	end := now + admitCost + slice
+	wk.cur, wk.slice, wk.q, wk.end = j, slice, q, now+admitCost+slice
 	r.emit(trace.Event{T: now + admitCost, Kind: trace.QuantumStart, Job: j.id, Class: int(j.class), Worker: w})
 	r.met.emit(now+admitCost, obs.QuantumStart, j.id, j.class, int32(w))
-	r.eng.After(admitCost+slice+r.m.P.YieldOverhead, func() {
-		r.emit(trace.Event{T: end, Kind: trace.QuantumEnd, Job: j.id, Class: int(j.class), Worker: w})
-		r.met.emit(end, obs.QuantumEnd, j.id, j.class, int32(w))
-		if slice >= q && j.remain > q {
-			// A true preemption: the realized interval includes the
-			// switch cost — what Figure 16 compares to the target.
-			r.achieved.Add(float64(slice + r.m.P.YieldOverhead))
-		}
-		j.remain -= slice
-		j.quanta++
-		wk.curQuanta++
-		if j.remain <= 0 {
-			// Completion: the worker replies directly to the client
-			// (no dispatcher involvement) and updates its counters.
-			wk.curQuanta -= j.quanta
-			wk.finished++
-			wk.idle++
-			r.emit(trace.Event{T: end, Kind: trace.Finish, Job: j.id, Class: int(j.class), Worker: w})
-			r.met.emit(end, obs.Finish, j.id, j.class, int32(w))
-			r.met.record(j, end)
-			r.pool.put(j)
-		} else {
-			// The probe fired and the coroutine yielded voluntarily —
-			// TQ's forced multitasking shows up as probe-yield, never as
-			// an interrupt-style preempt.
-			r.met.emit(end, obs.ProbeYield, j.id, j.class, int32(w))
-			r.pushRunnable(wk, j)
-		}
-		r.step(w)
-	})
+	r.eng.After(admitCost+slice+r.m.P.YieldOverhead, wk.onEnd)
+}
+
+// quantumEnd is worker w's bound callback: the quantum step staged has
+// run and the task has yielded back to the scheduler coroutine. The job
+// either completes or rejoins the run queue, and the next iteration
+// starts.
+//
+//simvet:hotpath
+func (r *tqRun) quantumEnd(w int) {
+	wk := &r.workers[w]
+	j, slice, q, end := wk.cur, wk.slice, wk.q, wk.end
+	wk.cur = nil
+	r.emit(trace.Event{T: end, Kind: trace.QuantumEnd, Job: j.id, Class: int(j.class), Worker: w})
+	r.met.emit(end, obs.QuantumEnd, j.id, j.class, int32(w))
+	if slice >= q && j.remain > q {
+		// A true preemption: the realized interval includes the
+		// switch cost — what Figure 16 compares to the target.
+		r.achieved.Add(float64(slice + r.m.P.YieldOverhead))
+	}
+	j.remain -= slice
+	j.quanta++
+	wk.curQuanta++
+	if j.remain <= 0 {
+		// Completion: the worker replies directly to the client
+		// (no dispatcher involvement) and updates its counters.
+		wk.curQuanta -= j.quanta
+		wk.finished++
+		wk.idle++
+		r.emit(trace.Event{T: end, Kind: trace.Finish, Job: j.id, Class: int(j.class), Worker: w})
+		r.met.emit(end, obs.Finish, j.id, j.class, int32(w))
+		r.met.record(j, end)
+		r.pool.put(j)
+	} else {
+		// The probe fired and the coroutine yielded voluntarily —
+		// TQ's forced multitasking shows up as probe-yield, never as
+		// an interrupt-style preempt.
+		r.met.emit(end, obs.ProbeYield, j.id, j.class, int32(w))
+		r.pushRunnable(wk, j)
+	}
+	r.step(w)
 }
 
 var _ Machine = (*TQ)(nil)

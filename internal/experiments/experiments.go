@@ -609,7 +609,7 @@ func Fig16(sc Scale) []stats.Series {
 			Warmup:   sc.Warmup,
 			Seed:     sc.Seed,
 		}
-		var achieved *stats.Sample
+		var achieved stats.RunningMean
 		if shinjuku {
 			p := cluster.NewShinjukuParams(sim.Micros(qUs))
 			p.Workers = cores

@@ -203,38 +203,34 @@ func mergeResults(system string, cfg cluster.RunConfig, per []*cluster.Result) *
 	window := (cfg.Duration - cfg.Warmup).Seconds()
 	out := &cluster.Result{System: system, Config: cfg, RTT: per[0].RTT}
 	var good uint64
+	// Latency samples pool machine by machine, each merged sample
+	// allocated once at the pooled size.
+	sojourn := make([]*stats.Sample, len(per))
+	slowdown := make([]*stats.Sample, len(per))
 	for ci, c := range cfg.Workload.Classes {
-		merged := cluster.ClassMetrics{
-			Name:     c.Name,
-			Sojourn:  stats.NewSample(1024),
-			Slowdown: stats.NewSample(1024),
-		}
-		for _, r := range per {
+		merged := cluster.ClassMetrics{Name: c.Name}
+		for i, r := range per {
 			mc := &r.PerClass[ci]
 			merged.Count += mc.Count
 			merged.Good += mc.Good
-			for _, v := range mc.Sojourn.Values() {
-				merged.Sojourn.Add(v)
-			}
-			for _, v := range mc.Slowdown.Values() {
-				merged.Slowdown.Add(v)
-			}
+			sojourn[i], slowdown[i] = mc.Sojourn, mc.Slowdown
 		}
+		merged.Sojourn = stats.Pool(sojourn...)
+		merged.Slowdown = stats.Pool(slowdown...)
 		good += merged.Good
 		out.PerClass = append(out.PerClass, merged)
 	}
 	for ti, t := range cfg.Tenants {
-		merged := cluster.TenantMetrics{Name: t.Name, Sojourn: stats.NewSample(1024)}
-		for _, r := range per {
+		merged := cluster.TenantMetrics{Name: t.Name}
+		for i, r := range per {
 			mt := &r.PerTenant[ti]
 			merged.Offered += mt.Offered
 			merged.Completed += mt.Completed
 			merged.Dropped += mt.Dropped
 			merged.Good += mt.Good
-			for _, v := range mt.Sojourn.Values() {
-				merged.Sojourn.Add(v)
-			}
+			sojourn[i] = mt.Sojourn
 		}
+		merged.Sojourn = stats.Pool(sojourn...)
 		out.PerTenant = append(out.PerTenant, merged)
 	}
 	for _, r := range per {

@@ -117,6 +117,51 @@ func (s *Sample) Reset() {
 	s.sorted = false
 }
 
+// Pool returns a new Sample holding every observation of parts, in
+// order, allocated once at exactly the pooled size (adding the values
+// one by one to a small sample regrows it ~40 times on the way up).
+func Pool(parts ...*Sample) *Sample {
+	n := 0
+	for _, p := range parts {
+		n += p.Len()
+	}
+	out := NewSample(n)
+	for _, p := range parts {
+		for _, v := range p.values {
+			out.Add(v)
+		}
+	}
+	return out
+}
+
+// RunningMean accumulates a sum and a count: the estimator for
+// observations whose only read-outs are Mean and Len, which a Sample
+// would store one float64 apiece for. Its Mean is bit-identical to a
+// Sample fed the same values in the same order. The zero value is
+// ready to use.
+type RunningMean struct {
+	sum float64
+	n   int
+}
+
+// Add records one observation.
+func (m *RunningMean) Add(v float64) {
+	m.sum += v
+	m.n++
+}
+
+// Len reports the number of recorded observations.
+func (m RunningMean) Len() int { return m.n }
+
+// Mean returns the arithmetic mean, or 0 if no observations were
+// recorded.
+func (m RunningMean) Mean() float64 {
+	if m.n == 0 {
+		return 0
+	}
+	return m.sum / float64(m.n)
+}
+
 // Histogram counts observations in geometrically spaced buckets; it is
 // used for the reuse-distance plots (Figure 15) where the x-axis spans
 // several orders of magnitude.
