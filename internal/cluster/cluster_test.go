@@ -7,8 +7,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -365,14 +365,14 @@ func TestTQRXQueueDropsUnderSaturation(t *testing.T) {
 	p := NewTQParams()
 	p.Workers = 64
 	p.Coroutines = 16
-	rec := &trace.Recorder{}
-	p.Trace = rec
+	rec := obs.NewRing(1 << 22)
 	res := NewTQ(p).Run(RunConfig{
 		Workload: w,
 		Rate:     100e6, // dispatcher caps near 14Mrps
 		Duration: 3 * sim.Millisecond,
 		Warmup:   sim.Millisecond,
 		Seed:     1,
+		Obs:      rec,
 	})
 	if res.Dropped == 0 {
 		t.Fatal("no drops reported at 7x overload")
@@ -391,7 +391,10 @@ func TestTQRXQueueDropsUnderSaturation(t *testing.T) {
 	if res.Throughput < 0.5*cap {
 		t.Fatalf("throughput %v collapsed far below dispatcher capacity %v", res.Throughput, cap)
 	}
-	if err := rec.Validate(); err != nil {
+	if rec.Truncated() {
+		t.Fatalf("ring too small: %d events discarded", rec.Discarded())
+	}
+	if err := obs.Validate(rec.Events()); err != nil {
 		t.Fatalf("trace invalid under overload: %v", err)
 	}
 }
@@ -537,27 +540,26 @@ func TestTQFreeDispatcherNeverBacklogs(t *testing.T) {
 
 func TestTQTraceIsValidTimeline(t *testing.T) {
 	w := workload.HighBimodal()
-	p := NewTQParams()
-	rec := &trace.Recorder{}
-	p.Trace = rec
+	rec := obs.NewRing(1 << 21)
 	cfg := RunConfig{
 		Workload: w,
 		Rate:     0.6 * w.MaxLoad(16),
 		Duration: 5 * sim.Millisecond,
 		Warmup:   0,
 		Seed:     1,
+		Obs:      rec,
 	}
-	res := NewTQ(p).Run(cfg)
-	if rec.Len() == 0 {
-		t.Fatal("trace recorded nothing")
+	res := NewTQ(NewTQParams()).Run(cfg)
+	if rec.Len() == 0 || rec.Truncated() {
+		t.Fatalf("trace recorded %d events, %d discarded", rec.Len(), rec.Discarded())
 	}
-	if err := rec.Validate(); err != nil {
+	if err := obs.Validate(rec.Events()); err != nil {
 		t.Fatalf("machine produced an invalid timeline: %v", err)
 	}
 	// Every completion has a Finish event.
 	finishes := 0
 	for _, e := range rec.Events() {
-		if e.Kind == trace.Finish {
+		if e.Kind == obs.Finish {
 			finishes++
 		}
 	}
@@ -569,7 +571,7 @@ func TestTQTraceIsValidTimeline(t *testing.T) {
 	}
 	// And the chrome dump is valid JSON.
 	var buf bytes.Buffer
-	if err := rec.WriteChrome(&buf); err != nil {
+	if err := obs.WriteChrome(&buf, obs.Process{Name: res.System, Events: rec.Events()}); err != nil {
 		t.Fatal(err)
 	}
 	if !json.Valid(buf.Bytes()) {

@@ -66,15 +66,6 @@ func (basePolicy) admitLane(workload.Request) int { return 0 }
 func (basePolicy) dropCore(int) int32             { return obs.CoreDispatcher }
 func (basePolicy) inflate(s sim.Time) sim.Time    { return s }
 
-// arrivalObserver is an optional extension of machinePolicy for
-// machines that mirror the arrival path into a second recorder (TQ's
-// legacy trace.Recorder). The kernel invokes the hooks just before the
-// corresponding obs emission.
-type arrivalObserver interface {
-	observeArrive(req workload.Request)
-	observeDrop(req workload.Request)
-}
-
 // Pump drives one arrival stream: it pulls requests from a composed
 // workload.Stream and delivers each at its arrival instant, until the
 // first arrival past the horizon. The pump is a chain — each delivery
@@ -213,7 +204,6 @@ type machineRun struct {
 	pool jobPool
 
 	pol machinePolicy
-	arr arrivalObserver // non-nil iff pol implements arrivalObserver
 
 	// pump is the run's arrival source in standalone mode; nil for an
 	// attached node, whose embedding layer pumps a shared stream.
@@ -249,7 +239,6 @@ func (k *machineRun) attach(eng *sim.Engine, cfg RunConfig, pol machinePolicy, r
 	k.met = newMetrics(cfg)
 	k.adm = k.met.admission(rxLimit, lanes)
 	k.pol = pol
-	k.arr, _ = pol.(arrivalObserver)
 }
 
 // init assembles the substrate for a standalone run: attach on a fresh
@@ -303,18 +292,12 @@ func (k *machineRun) run(system string, rtt sim.Time) *Result {
 //simvet:hotpath
 func (k *machineRun) inject(req workload.Request) {
 	lane := k.pol.admitLane(req)
-	if k.arr != nil {
-		k.arr.observeArrive(req)
-	}
 	k.met.emit(req.Arrival, obs.Arrive, req.ID, req.Class, obs.CoreLoadgen)
 	// The RX ring bounds the stage's backlog in requests — a ring holds
 	// descriptors, not time — so the bound applies even when the stage's
 	// per-request cost is zero. The request occupies its slot until the
 	// machine releases it.
 	if !k.adm.tryAdmit(lane, req.Tenant, req.Arrival) {
-		if k.arr != nil {
-			k.arr.observeDrop(req)
-		}
 		k.met.emit(req.Arrival, obs.Drop, req.ID, req.Class, k.pol.dropCore(lane))
 		k.met.tenantDrop(req)
 		if k.onDrop != nil {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -53,9 +52,6 @@ type TQParams struct {
 	// RXQueue bounds the dispatcher's unprocessed-request backlog, in
 	// requests; arrivals beyond it drop as at a full NIC RX ring.
 	RXQueue int
-	// Trace, when non-nil, records the scheduling timeline (job
-	// arrivals, dispatches, quanta, completions) for inspection.
-	Trace *trace.Recorder
 	// RTT is the network round-trip added when reporting end-to-end
 	// latency.
 	RTT sim.Time
@@ -233,9 +229,9 @@ func (t *TQ) newRun(cfg RunConfig) (*tqRun, *workload.Stream) {
 	}
 	switch t.P.Balancer {
 	case BalanceJSQMSQ:
-		r.bal = core.NewJSQ(core.MSQ{})
+		r.bal = &core.JSQ{}
 	case BalanceJSQRandom:
-		r.bal = core.NewJSQ(core.RandomTie{R: r.rand.Split()})
+		r.bal = &core.JSQ{RandomTie: r.rand.Split()}
 	case BalanceRandom:
 		r.bal = core.Random{R: r.rand.Split()}
 	case BalancePowerTwo:
@@ -275,13 +271,6 @@ func (t *TQ) NewNode(eng *sim.Engine, cfg RunConfig) Node {
 	return r
 }
 
-// emit records a trace event when tracing is enabled.
-func (r *tqRun) emit(e trace.Event) {
-	if r.m.P.Trace != nil {
-		r.m.P.Trace.Emit(e)
-	}
-}
-
 // refreshView re-reads worker counters if the dispatcher's view is
 // older than StatsPeriod, modelling §4's periodic counter reads with
 // their inherent staleness.
@@ -315,16 +304,6 @@ func (r *tqRun) dropCore(int) int32 { return obs.CoreDispatcher }
 // job's service time by ProbeOverhead.
 func (r *tqRun) inflate(s sim.Time) sim.Time {
 	return s + sim.Time(float64(s)*r.m.P.ProbeOverhead)
-}
-
-// observeArrive/observeDrop mirror the kernel's arrival path into the
-// legacy trace recorder when one is attached.
-func (r *tqRun) observeArrive(req workload.Request) {
-	r.emit(trace.Event{T: r.eng.Now(), Kind: trace.Arrive, Job: req.ID, Class: int(req.Class), Worker: -1})
-}
-
-func (r *tqRun) observeDrop(req workload.Request) {
-	r.emit(trace.Event{T: r.eng.Now(), Kind: trace.Drop, Job: req.ID, Class: int(req.Class), Worker: -1})
 }
 
 // admit implements machinePolicy: the dispatcher, a serial server,
@@ -362,7 +341,6 @@ func (r *tqRun) dispatch(j *job) {
 	w := r.bal.Pick(r.tracker)
 	r.tracker.Assign(w)
 	j.worker = w
-	r.emit(trace.Event{T: r.eng.Now(), Kind: trace.Dispatch, Job: j.id, Class: int(j.class), Worker: w})
 	r.met.emit(r.eng.Now(), obs.Dispatch, j.id, j.class, int32(w))
 	wk := &r.workers[w]
 	wk.waiting.Push(j, r.rank.rank(j, r.eng.Now()))
@@ -422,7 +400,6 @@ func (r *tqRun) step(w int) {
 	// sojourn, so Finish and QuantumEnd share one timestamp.
 	now := r.eng.Now()
 	wk.cur, wk.slice, wk.q, wk.end = j, slice, q, now+admitCost+slice
-	r.emit(trace.Event{T: now + admitCost, Kind: trace.QuantumStart, Job: j.id, Class: int(j.class), Worker: w})
 	r.met.emit(now+admitCost, obs.QuantumStart, j.id, j.class, int32(w))
 	r.eng.After(admitCost+slice+r.m.P.YieldOverhead, wk.onEnd)
 }
@@ -437,7 +414,6 @@ func (r *tqRun) quantumEnd(w int) {
 	wk := &r.workers[w]
 	j, slice, q, end := wk.cur, wk.slice, wk.q, wk.end
 	wk.cur = nil
-	r.emit(trace.Event{T: end, Kind: trace.QuantumEnd, Job: j.id, Class: int(j.class), Worker: w})
 	r.met.emit(end, obs.QuantumEnd, j.id, j.class, int32(w))
 	if slice >= q && j.remain > q {
 		// A true preemption: the realized interval includes the
@@ -453,7 +429,6 @@ func (r *tqRun) quantumEnd(w int) {
 		wk.curQuanta -= j.quanta
 		wk.finished++
 		wk.idle++
-		r.emit(trace.Event{T: end, Kind: trace.Finish, Job: j.id, Class: int(j.class), Worker: w})
 		r.met.emit(end, obs.Finish, j.id, j.class, int32(w))
 		r.met.record(j, end)
 		r.pool.put(j)

@@ -9,9 +9,8 @@
 //     policy the probe mechanism is designed to support (§3.1);
 //   - LoadTracker: the dispatcher's view of per-worker load, recovered
 //     from wrapping worker-side counters by delta reads (§4);
-//   - Balancer implementations: JSQ (with pluggable tie-breaking,
-//     including the paper's MSQ heuristic), power-of-two, random, and
-//     RSS-hash steering.
+//   - Balancer implementations: JSQ (with the paper's MSQ tie-breaking
+//     or random ties), power-of-two, random, and RSS-hash steering.
 package core
 
 import "repro/internal/rng"
@@ -19,6 +18,8 @@ import "repro/internal/rng"
 // FIFO is an allocation-free ring-buffer queue. TQ's per-worker
 // processor-sharing scheduler is exactly this structure: yielded
 // coroutines enqueue at the tail and the head is resumed next (§4).
+// The buffer's length is always a power of two (see grow), so indices
+// wrap with a mask instead of an integer divide per push and pop.
 type FIFO[T any] struct {
 	buf  []T
 	head int
@@ -33,7 +34,7 @@ func (q *FIFO[T]) Push(v T) {
 	if q.size == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.size)%len(q.buf)] = v
+	q.buf[(q.head+q.size)&(len(q.buf)-1)] = v
 	q.size++
 }
 
@@ -46,7 +47,7 @@ func (q *FIFO[T]) Pop() (T, bool) {
 	}
 	v := q.buf[q.head]
 	q.buf[q.head] = zero // release for GC
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.size--
 	return v, true
 }
@@ -60,15 +61,18 @@ func (q *FIFO[T]) Peek() (T, bool) {
 	return q.buf[q.head], true
 }
 
+// grow doubles the buffer (8 first), unrolling the ring to its start.
 func (q *FIFO[T]) grow() {
 	n := len(q.buf) * 2
 	if n == 0 {
 		n = 8
 	}
-	nb := make([]T, n)
-	for i := 0; i < q.size; i++ {
-		nb[i] = q.buf[(q.head+i)%len(q.buf)]
+	if n&(n-1) != 0 {
+		panic("core: FIFO capacity must stay a power of two")
 	}
+	nb := make([]T, n)
+	k := copy(nb, q.buf[q.head:])
+	copy(nb[k:], q.buf[:q.head])
 	q.buf = nb
 	q.head = 0
 }
@@ -151,13 +155,14 @@ func (q *LASQueue[T]) Pop() (T, int64, bool) {
 type View interface {
 	// Workers returns the number of worker cores.
 	Workers() int
-	// QueueLen returns the number of unfinished jobs assigned to
-	// worker w, as recovered by the dispatcher's counters.
-	QueueLen(w int) int
-	// ServicedQuanta returns the number of quanta worker w has
-	// serviced for its *current* jobs, the statistic behind MSQ
-	// tie-breaking.
-	ServicedQuanta(w int) int64
+	// Load returns, indexed by worker, the number of unfinished jobs
+	// assigned to each worker as recovered by the dispatcher's counters,
+	// and the number of quanta each worker has serviced for its
+	// *current* jobs, the statistic behind MSQ tie-breaking. One call
+	// hands over the whole view, so a balancer scans plain slices
+	// instead of making two interface calls per worker. The slices are
+	// the view's own storage: read-only, and valid until its next Load.
+	Load() (lens []int, quanta []int64)
 }
 
 // Balancer selects the worker that should receive an incoming job.
@@ -166,65 +171,40 @@ type Balancer interface {
 	Name() string
 }
 
-// TieBreaker chooses among workers that are tied on queue length.
-// candidates is reused between calls and must not be retained.
-type TieBreaker interface {
-	Break(v View, candidates []int) int
-	Name() string
-}
-
-// MSQ is the paper's Maximum-Serviced-Quanta tie-breaker (§3.2): among
-// tied workers, pick the one whose current jobs have received the most
-// quanta, expecting that core to have the smallest remaining work.
-// Remaining ties resolve to the lowest worker index (deterministic).
-type MSQ struct{}
-
-// Break implements TieBreaker.
-func (MSQ) Break(v View, candidates []int) int {
-	best := candidates[0]
-	bestQ := v.ServicedQuanta(best)
-	for _, w := range candidates[1:] {
-		if q := v.ServicedQuanta(w); q > bestQ {
-			best, bestQ = w, q
-		}
-	}
-	return best
-}
-
-// Name implements TieBreaker.
-func (MSQ) Name() string { return "msq" }
-
-// RandomTie breaks ties uniformly at random — the "naive" policy the
-// paper compares MSQ against.
-type RandomTie struct{ R *rng.Rand }
-
-// Break implements TieBreaker.
-func (t RandomTie) Break(_ View, candidates []int) int {
-	return candidates[t.R.Intn(len(candidates))]
-}
-
-// Name implements TieBreaker.
-func (RandomTie) Name() string { return "random-tie" }
-
-// JSQ is join-the-shortest-queue load balancing with a pluggable
-// tie-breaker — TQ's dispatcher policy.
+// JSQ is join-the-shortest-queue load balancing — TQ's dispatcher
+// policy. Workers tied on queue length are separated by the paper's
+// Maximum-Serviced-Quanta heuristic (§3.2): pick the one whose current
+// jobs have received the most quanta, expecting that core to have the
+// smallest remaining work; remaining ties resolve to the lowest worker
+// index (deterministic). The zero value is ready to use.
 type JSQ struct {
-	Tie TieBreaker
-	// scratch avoids a per-pick allocation for the candidate list.
+	// RandomTie, when set, replaces MSQ: ties break uniformly at random
+	// — the "naive" policy the paper compares MSQ against (Figure 4).
+	RandomTie *rng.Rand
+	// scratch is RandomTie's candidate list, reused between picks.
 	scratch []int
 }
 
-// NewJSQ returns a JSQ balancer with the given tie-breaker.
-func NewJSQ(tie TieBreaker) *JSQ { return &JSQ{Tie: tie} }
-
 // Pick implements Balancer.
 func (b *JSQ) Pick(v View) int {
-	n := v.Workers()
-	minLen := v.QueueLen(0)
+	lens, quanta := v.Load()
+	if b.RandomTie == nil {
+		// MSQ orders workers by (shortest queue, most quanta, lowest
+		// index), so one pass with a strict comparison finds the pick.
+		best := 0
+		for w := 1; w < len(lens); w++ {
+			if lens[w] < lens[best] || lens[w] == lens[best] && quanta[w] > quanta[best] {
+				best = w
+			}
+		}
+		return best
+	}
+	// The random draw is over the tied workers only, and only when there
+	// is a tie, so it needs them listed first.
+	minLen := lens[0]
 	b.scratch = append(b.scratch[:0], 0)
-	for w := 1; w < n; w++ {
-		l := v.QueueLen(w)
-		switch {
+	for w := 1; w < len(lens); w++ {
+		switch l := lens[w]; {
 		case l < minLen:
 			minLen = l
 			b.scratch = append(b.scratch[:0], w)
@@ -235,11 +215,16 @@ func (b *JSQ) Pick(v View) int {
 	if len(b.scratch) == 1 {
 		return b.scratch[0]
 	}
-	return b.Tie.Break(v, b.scratch)
+	return b.scratch[b.RandomTie.Intn(len(b.scratch))]
 }
 
 // Name implements Balancer.
-func (b *JSQ) Name() string { return "jsq+" + b.Tie.Name() }
+func (b *JSQ) Name() string {
+	if b.RandomTie != nil {
+		return "jsq+random-tie"
+	}
+	return "jsq+msq"
+}
 
 // PowerOfTwo samples two distinct workers uniformly and assigns to the
 // shorter queue (the TQ-POWER-TWO variant of §5.4).
@@ -256,7 +241,7 @@ func (b PowerOfTwo) Pick(v View) int {
 	if c >= a {
 		c++
 	}
-	if v.QueueLen(c) < v.QueueLen(a) {
+	if lens, _ := v.Load(); lens[c] < lens[a] {
 		return c
 	}
 	return a
@@ -291,15 +276,14 @@ func (RSS) Steer(key uint64, workers int) int {
 
 // LoadTracker is the dispatcher-side bookkeeping behind JSQ (§4): it
 // counts jobs assigned to each worker and recovers each worker's
-// finished-job total from a wrapping counter via delta reads, so the
+// finished jobs from a wrapping counter via delta reads, so the running
 // difference is the worker's unfinished-job count. It also caches the
 // last-read serviced-quanta statistic for MSQ.
 type LoadTracker struct {
-	assigned []uint64
-	finished []uint64
-	lastRaw  []uint64
-	quanta   []int64
-	width    uint
+	lens    []int // assigned minus finished, kept current for Load
+	lastRaw []uint64
+	quanta  []int64
+	width   uint
 }
 
 // NewLoadTracker returns a tracker for n workers whose finished-job
@@ -309,28 +293,24 @@ func NewLoadTracker(n int, width uint) *LoadTracker {
 		panic("core: counter width out of range")
 	}
 	return &LoadTracker{
-		assigned: make([]uint64, n),
-		finished: make([]uint64, n),
-		lastRaw:  make([]uint64, n),
-		quanta:   make([]int64, n),
-		width:    width,
+		lens:    make([]int, n),
+		lastRaw: make([]uint64, n),
+		quanta:  make([]int64, n),
+		width:   width,
 	}
 }
 
 // Assign records that one job was forwarded to worker w.
-func (lt *LoadTracker) Assign(w int) { lt.assigned[w]++ }
+func (lt *LoadTracker) Assign(w int) { lt.lens[w]++ }
 
 // ObserveFinished incorporates a raw read of worker w's wrapping
 // finished-jobs counter.
 func (lt *LoadTracker) ObserveFinished(w int, raw uint64) {
-	var delta uint64
-	if lt.width == 64 {
-		delta = raw - lt.lastRaw[w]
-	} else {
-		mask := uint64(1)<<lt.width - 1
-		delta = (raw - lt.lastRaw[w]) & mask
+	delta := raw - lt.lastRaw[w]
+	if lt.width < 64 {
+		delta &= uint64(1)<<lt.width - 1
 	}
-	lt.finished[w] += delta
+	lt.lens[w] -= int(delta)
 	lt.lastRaw[w] = raw
 }
 
@@ -339,14 +319,9 @@ func (lt *LoadTracker) ObserveFinished(w int, raw uint64) {
 func (lt *LoadTracker) ObserveQuanta(w int, quanta int64) { lt.quanta[w] = quanta }
 
 // Workers implements View.
-func (lt *LoadTracker) Workers() int { return len(lt.assigned) }
+func (lt *LoadTracker) Workers() int { return len(lt.lens) }
 
-// QueueLen implements View: assigned minus finished.
-func (lt *LoadTracker) QueueLen(w int) int {
-	return int(lt.assigned[w] - lt.finished[w])
-}
-
-// ServicedQuanta implements View.
-func (lt *LoadTracker) ServicedQuanta(w int) int64 { return lt.quanta[w] }
+// Load implements View.
+func (lt *LoadTracker) Load() ([]int, []int64) { return lt.lens, lt.quanta }
 
 var _ View = (*LoadTracker)(nil)

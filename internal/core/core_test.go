@@ -149,17 +149,16 @@ type fakeView struct {
 	quanta []int64
 }
 
-func (v fakeView) Workers() int       { return len(v.lens) }
-func (v fakeView) QueueLen(w int) int { return v.lens[w] }
-func (v fakeView) ServicedQuanta(w int) int64 {
+func (v fakeView) Workers() int { return len(v.lens) }
+func (v fakeView) Load() ([]int, []int64) {
 	if v.quanta == nil {
-		return 0
+		return v.lens, make([]int64, len(v.lens))
 	}
-	return v.quanta[w]
+	return v.lens, v.quanta
 }
 
 func TestJSQPicksShortest(t *testing.T) {
-	b := NewJSQ(MSQ{})
+	b := &JSQ{}
 	v := fakeView{lens: []int{3, 1, 2, 5}}
 	if got := b.Pick(v); got != 1 {
 		t.Fatalf("JSQ picked %d, want 1", got)
@@ -167,7 +166,7 @@ func TestJSQPicksShortest(t *testing.T) {
 }
 
 func TestJSQMSQTieBreak(t *testing.T) {
-	b := NewJSQ(MSQ{})
+	b := &JSQ{}
 	// Workers 0, 2, 3 tie at queue length 1; worker 2 has the most
 	// serviced quanta for its current jobs.
 	v := fakeView{
@@ -180,22 +179,74 @@ func TestJSQMSQTieBreak(t *testing.T) {
 }
 
 func TestMSQDeterministicOnFullTie(t *testing.T) {
-	v := fakeView{lens: []int{1, 1}, quanta: []int64{5, 5}}
-	if got := (MSQ{}).Break(v, []int{0, 1}); got != 0 {
-		t.Fatalf("MSQ full tie picked %d, want 0 (lowest index)", got)
+	v := fakeView{lens: []int{2, 1, 1}, quanta: []int64{9, 5, 5}}
+	if got := (&JSQ{}).Pick(v); got != 1 {
+		t.Fatalf("MSQ full tie picked %d, want 1 (lowest tied index)", got)
+	}
+}
+
+// tiedShortest lists the workers on the shortest queue, in index order:
+// the candidate set JSQ's definition breaks ties over.
+func tiedShortest(lens []int) []int {
+	var tied []int
+	for w, l := range lens {
+		switch {
+		case len(tied) == 0 || l < lens[tied[0]]:
+			tied = append(tied[:0], w)
+		case l == lens[tied[0]]:
+			tied = append(tied, w)
+		}
+	}
+	return tied
+}
+
+// TestJSQMatchesDefinition checks both tie-breaks against the
+// two-step definition — list the shortest queues, then break the tie —
+// on random views: MSQ's single pass must pick the tied worker with the
+// most quanta (lowest index among equals), and RandomTie must consume
+// exactly one Intn(len(tied)) per tied pick and none otherwise, which
+// is what keeps seeded runs bit-identical.
+func TestJSQMatchesDefinition(t *testing.T) {
+	r := rng.New(11)
+	twin := rng.New(99)
+	random := &JSQ{RandomTie: rng.New(99)}
+	msq := &JSQ{}
+	for trial := 0; trial < 5000; trial++ {
+		n := r.Intn(16) + 1
+		v := fakeView{lens: make([]int, n), quanta: make([]int64, n)}
+		for w := range v.lens {
+			v.lens[w] = r.Intn(3)
+			v.quanta[w] = int64(r.Intn(4))
+		}
+		tied := tiedShortest(v.lens)
+		want := tied[0]
+		for _, w := range tied[1:] {
+			if v.quanta[w] > v.quanta[want] {
+				want = w
+			}
+		}
+		if got := msq.Pick(v); got != want {
+			t.Fatalf("lens %v quanta %v: JSQ+MSQ picked %d, want %d", v.lens, v.quanta, got, want)
+		}
+		want = tied[0]
+		if len(tied) > 1 {
+			want = tied[twin.Intn(len(tied))]
+		}
+		if got := random.Pick(v); got != want {
+			t.Fatalf("lens %v: JSQ+random-tie picked %d, want %d", v.lens, got, want)
+		}
 	}
 }
 
 func TestRandomTieUniform(t *testing.T) {
-	tie := RandomTie{R: rng.New(1)}
-	v := fakeView{lens: []int{0, 0, 0}}
-	counts := make([]int, 3)
-	cands := []int{0, 1, 2}
+	b := &JSQ{RandomTie: rng.New(1)}
+	v := fakeView{lens: []int{0, 0, 7, 0}}
+	counts := make([]int, 4)
 	for i := 0; i < 30000; i++ {
-		counts[tie.Break(v, cands)]++
+		counts[b.Pick(v)]++
 	}
-	for w, c := range counts {
-		if c < 9000 || c > 11000 {
+	for _, w := range []int{0, 1, 3} {
+		if c := counts[w]; c < 9000 || c > 11000 {
 			t.Fatalf("worker %d picked %d/30000 times, want ~10000", w, c)
 		}
 	}
@@ -269,15 +320,12 @@ func TestLoadTrackerQueueLen(t *testing.T) {
 	lt.Assign(0)
 	lt.Assign(0)
 	lt.Assign(1)
-	if got := lt.QueueLen(0); got != 2 {
-		t.Fatalf("QueueLen(0) = %d, want 2", got)
+	if lens, _ := lt.Load(); lens[0] != 2 {
+		t.Fatalf("lens[0] = %d, want 2", lens[0])
 	}
 	lt.ObserveFinished(0, 1) // worker 0 finished one job
-	if got := lt.QueueLen(0); got != 1 {
-		t.Fatalf("QueueLen(0) after finish = %d, want 1", got)
-	}
-	if got := lt.QueueLen(1); got != 1 {
-		t.Fatalf("QueueLen(1) = %d, want 1", got)
+	if lens, _ := lt.Load(); lens[0] != 1 || lens[1] != 1 {
+		t.Fatalf("lens after finish = %v, want [1 1]", lens)
 	}
 }
 
@@ -290,8 +338,8 @@ func TestLoadTrackerCounterWrap(t *testing.T) {
 		lt.Assign(0)
 		raw = (raw + 1) & 0xf
 		lt.ObserveFinished(0, raw)
-		if got := lt.QueueLen(0); got != 0 {
-			t.Fatalf("step %d: QueueLen = %d, want 0", i, got)
+		if lens, _ := lt.Load(); lens[0] != 0 {
+			t.Fatalf("step %d: lens[0] = %d, want 0", i, lens[0])
 		}
 	}
 }
@@ -299,14 +347,14 @@ func TestLoadTrackerCounterWrap(t *testing.T) {
 func TestLoadTrackerQuanta(t *testing.T) {
 	lt := NewLoadTracker(3, 32)
 	lt.ObserveQuanta(1, 42)
-	if got := lt.ServicedQuanta(1); got != 42 {
-		t.Fatalf("ServicedQuanta = %d, want 42", got)
+	if _, quanta := lt.Load(); quanta[1] != 42 {
+		t.Fatalf("quanta[1] = %d, want 42", quanta[1])
 	}
 }
 
 func TestJSQUsesLoadTrackerEndToEnd(t *testing.T) {
 	lt := NewLoadTracker(3, 16)
-	b := NewJSQ(MSQ{})
+	b := &JSQ{}
 	// Assign round-robin-ish and verify JSQ follows the shortest queue.
 	lt.Assign(0)
 	lt.Assign(0)
@@ -330,7 +378,7 @@ func BenchmarkJSQPick16(b *testing.B) {
 			lt.Assign(w)
 		}
 	}
-	bal := NewJSQ(MSQ{})
+	bal := &JSQ{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = bal.Pick(lt)

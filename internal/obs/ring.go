@@ -5,9 +5,8 @@ import "sync"
 // Ring is the zero-allocation bounded recorder: storage is one slice
 // allocated at construction (or lazily, once, for the zero value) and
 // Emit never allocates afterwards. When the capacity is exhausted
-// further events are discarded and counted, so — exactly like
-// trace.Recorder — a capped recording is a strict prefix of the run's
-// timeline: every recorded event is real, no recorded transition is
+// further events are discarded and counted, so a capped recording is
+// a strict prefix of the run's timeline: every recorded event is real, no recorded transition is
 // fabricated, and Truncated tells a complete timeline from a prefix.
 //
 // Ring is single-writer: the simulator's event loop, or one worker

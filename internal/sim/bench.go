@@ -2,11 +2,10 @@ package sim
 
 import "time"
 
-// This file is the engine's benchmark surface, consumed by
-// cmd/tqbench: one standard churn workload, runnable against both the
-// live timing wheel and the retired 4-ary heap, so every BENCH_*.json
-// records the wheel's speedup against the exact baseline it replaced
-// instead of a number copied from an old report.
+// This file is the engine's benchmark surface, consumed by benchmark/
+// and cmd/tqbench: one standard churn workload, runnable against the
+// Engine and against the plain 4-ary heap alone. The heap row is
+// frozen code, so it doubles as the benchmark's host calibration.
 
 // churnDelay derives the i-th reschedule delay of the standard churn
 // workload: uniform in [1, 1000]ns from a splitmix64 stream, so both
@@ -22,9 +21,12 @@ func churnDelay(state *uint64) Time {
 }
 
 // EngineChurn runs the standard churn workload — depth self-renewing
-// events with uniform 1..1000ns reschedule delays, the regime the
-// scheduling simulations operate in — for n events on a fresh Engine
-// and returns the wall-clock time of the measured run loop.
+// events with uniform 1..1000ns reschedule delays, so every event lands
+// in the near ring — for n events on a fresh Engine and returns the
+// wall-clock time of the measured run loop. The machine models run far
+// shallower than the depths this is usually asked for (a dozen events
+// in flight, not a thousand); it bounds the queue's cost from the deep
+// side.
 func EngineChurn(depth, n int, seed uint64) time.Duration {
 	e := New()
 	state := seed
@@ -46,9 +48,9 @@ func EngineChurn(depth, n int, seed uint64) time.Duration {
 	return time.Since(start) //simvet:ignore host wall-clock benchmark timing, not sim state
 }
 
-// HeapChurn is EngineChurn against the retired 4-ary heap baseline:
-// the same delay stream and live depth, driven through the equivalent
-// pop → advance clock → run callback loop the old engine used.
+// HeapChurn is EngineChurn against the plain 4-ary heap: the same
+// delay stream and live depth, driven through the equivalent pop →
+// advance clock → run callback loop.
 func HeapChurn(depth, n int, seed uint64) time.Duration {
 	var (
 		h     eventHeap

@@ -1,18 +1,20 @@
 package sim
 
-// eventHeap is the engine's retired event queue: the 4-ary min-heap
-// that ordered events before the hierarchical timing wheel (wheel.go)
-// replaced it in PR 6. It is kept — unexported, outside the hot path —
-// for two jobs:
+// eventHeap is a 4-ary min-heap of events ordered by (at, seq). It
+// has three jobs:
 //
-//   - differential testing: the wheel/heap fuzz tests drive both
-//     queues with identical (at, seq) schedules and require identical
-//     pop order, so any tie-break or ordering bug in the wheel is
-//     caught against this reference;
-//   - the benchmark trajectory: cmd/tqbench re-measures this baseline
-//     every PR (sim.HeapChurn) so BENCH_*.json records the wheel's
-//     speedup against the exact pre-PR-6 implementation rather than a
-//     number copied from an old report.
+//   - the far tier of the engine's queue (wheel.go): events due at or
+//     beyond the near ring's window wait here: whole-job completion
+//     times, a handful on most machines, hundreds of stale ones on
+//     Shinjuku and the oracle;
+//   - the differential reference: the wheel/heap fuzz tests drive the
+//     engine and one plain eventHeap with identical (at, seq) schedules
+//     and require identical pop order, so any ordering bug in the ring,
+//     the tier boundary or the merge is caught against this;
+//   - the benchmark's host-calibration row: HeapChurn (bench.go) runs
+//     the standard churn on this heap alone, and because push, pop and
+//     less are left exactly as they were, `sim.heap_ns_per_event`
+//     measures the host and nothing a change to the engine can move.
 //
 // The ordering contract is the engine's: (at, seq) ascending, so
 // events at the same instant pop in scheduling order. 4-ary because

@@ -81,10 +81,11 @@ type event struct {
 }
 
 // Engine runs events in timestamp order. The zero value is ready to
-// use. The queue behind it is a hierarchical timing wheel (wheel.go);
-// the ordering contract — (at, seq), so same-instant events fire in
-// scheduling order — is independent of the queue implementation and
-// pinned by differential tests against the retired heap (heap.go).
+// use. The queue behind it is a sliding one-nanosecond calendar ring
+// with a heap for the far future (wheel.go); the ordering contract —
+// (at, seq), so same-instant events fire in scheduling order — is
+// independent of the queue implementation and pinned by differential
+// tests against a plain heap (heap.go).
 type Engine struct {
 	now      Time
 	seq      uint64
@@ -127,7 +128,7 @@ func (e *Engine) After(d Time, fn func()) {
 func (e *Engine) Halt() { e.halted = true }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int { return e.wheel.count }
+func (e *Engine) Pending() int { return e.wheel.len() }
 
 // Executed reports the number of events run so far — the natural unit
 // of simulation work, used by the sweep progress layer to report
@@ -137,7 +138,7 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // Run executes events until the queue is empty or Halt is called. It
 // returns the final virtual time.
 func (e *Engine) Run() Time {
-	for e.wheel.count > 0 && !e.halted {
+	for e.wheel.len() > 0 && !e.halted {
 		ev := e.wheel.pop()
 		e.now = ev.at
 		e.executed++
@@ -152,9 +153,8 @@ func (e *Engine) Run() Time {
 // stay queued; a halted RunUntil leaves the clock at the last executed
 // event rather than advancing it to the deadline.
 func (e *Engine) RunUntil(deadline Time) Time {
-	for !e.halted {
-		t, ok := e.wheel.nextTime(deadline)
-		if !ok || t > deadline {
+	for !e.halted && e.wheel.len() > 0 {
+		if t, _ := e.wheel.peek(); t > deadline {
 			break
 		}
 		ev := e.wheel.pop()

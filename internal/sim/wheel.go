@@ -2,238 +2,206 @@ package sim
 
 import "math/bits"
 
-// The event queue is a hierarchical timing wheel (a calendar queue):
-// eight levels of 256 slots, level L covering the virtual-time range
-// [cur, cur + 256^(L+1)) at a granularity of 256^L nanoseconds. Push
-// drops an event into the one slot whose window contains its
-// timestamp — O(1), one append — and pop scans a 256-bit occupancy
-// bitmap for the next non-empty slot, cascading coarse buckets down a
-// level as the clock reaches their window. Every event is touched at
-// most once per level (≤ 8 times total), so both operations are
-// amortized O(1) versus the retired heap's O(log n) sift per
-// operation; cmd/tqbench records the measured speedup every PR.
+// The event queue has two tiers, fitted to the traffic the machine
+// models actually generate: about a dozen events in flight (a few
+// hundred on an overloaded Shinjuku), one every ≈70 ns, almost all of
+// them due within a few microseconds.
 //
-// Ordering is the engine's documented contract, exactly: events pop in
-// (at, seq) order. Within a level-0 slot all events share one
-// timestamp, and a slot's slice is always seq-sorted, because
+//   - The near ring holds every event due inside the window
+//     [cur, cur+ringSlots) — one slot per nanosecond, slot = at & mask,
+//     so a slot only ever holds events of a single timestamp. The
+//     window slides with the clock: nothing is re-filed when cur
+//     advances, a slot simply becomes valid for the timestamp one ring
+//     length later. Each slot is an intrusive FIFO list of int32
+//     indices into one pooled []node with a LIFO freelist, so the
+//     handful of live nodes are the same few cache lines over and over.
+//     Push is one list append and pop scans an occupancy bitmap
+//     circularly from cur: O(1) with no sorting at all.
+//   - The far tier is the 4-ary heap of heap.go, for whatever is due
+//     at or beyond the window. What the models schedule that far ahead
+//     is service-time completions: one per core on the
+//     run-to-completion machines, so the heap is a handful deep; on
+//     Shinjuku and the oracle, whose preempted jobs leave stale
+//     completion timers behind, hundreds deep — but there only 6–20 %
+//     of pushes go far (EXPERIMENTS.md has the measured table).
 //
-//   - seq increases monotonically with every push,
-//   - an event is pushed directly into a level-0 slot only while the
-//     wheel's clock is inside that slot's 256ns window (otherwise the
-//     differing high bits route it to a coarser level), and
-//   - a coarse bucket cascades — in stored, i.e. seq, order — at the
-//     instant the clock first enters its window, which is therefore
-//     before any direct push into the slots it fans out to.
+// Pop is a two-way merge of the ring's next slot and the heap's
+// minimum, ties going to the heap. That keeps the engine's contract —
+// events pop in exactly (at, seq) order — without ever moving an event
+// between tiers:
 //
-// The heap/wheel differential fuzz tests (wheel_test.go) check this
-// equivalence on random schedule/pop interleavings, and the PR 5
-// golden fixtures pin it for every machine model's full trajectory.
+//   - within a slot, list order is push order, which is seq order;
+//   - an event is filed far only when at >= cur+ringSlots at its push,
+//     near only when at < cur+ringSlots, and cur never decreases, so
+//     for one timestamp every far push precedes every near push: the
+//     heap's events have the smaller seqs and must pop first.
+//
+// This is the degenerate case the PIFO paper names (PAPERS.md): pushes
+// that arrive in rank order need no sorting, only the out-of-order
+// remainder does. The wheel/heap differential fuzz (wheel_test.go)
+// checks the equivalence on random schedule/drain interleavings that
+// straddle the window boundary, and the golden fixtures pin it for
+// every machine model's full trajectory.
 const (
-	wheelBits   = 8
-	wheelSlots  = 1 << wheelBits
-	wheelMask   = wheelSlots - 1
-	wheelLevels = 8 // 8 levels × 8 bits spans every int64 timestamp
+	// ringBits sizes the near window at 8192 ns. It is a constant, not
+	// an option, chosen from the horizons the models schedule at: TQ's
+	// 2 µs quantum plus yield, Shinjuku's 5 µs preemption timer, 70 ns
+	// dispatcher hand-offs and the inter-arrival gap at every Figure 7
+	// rate all land near; only whole-job completions (5.7–500 µs) land
+	// far. A smaller window would push the 5 µs timers into the heap; a
+	// larger one only lengthens the bitmap scan across idle gaps.
+	ringBits  = 13
+	ringSlots = 1 << ringBits
+	ringMask  = ringSlots - 1
+	ringWords = ringSlots / 64
 
-	// slotShrinkCap is the shrink policy's threshold: a drained slot
-	// whose backing array grew beyond this many events releases it to
-	// the garbage collector instead of keeping it for reuse, so one
-	// pathological burst (say, a megabatch scheduled at one instant)
-	// does not pin its high-water storage for the rest of the run.
-	// Steady-state slots stay far below it and keep their storage, so
-	// the hot path settles to zero allocations.
-	slotShrinkCap = 1024
+	// poolShrinkCap is the shrink policy's threshold: when the ring
+	// drains and the node pool has grown beyond this many nodes, the
+	// pool is released to the garbage collector instead of being kept
+	// for reuse, so one pathological burst (say, a megabatch scheduled
+	// at one instant) does not pin its high-water storage for the rest
+	// of the run. Steady-state pools stay far below it and keep their
+	// storage, so the hot path settles to zero allocations.
+	poolShrinkCap = 1024
 )
 
-// wheelSlot is one bucket: a FIFO of events drained via head so that
-// callbacks can append same-instant events while the slot is being
-// popped. Popped entries are zeroed immediately — the slice would
-// otherwise keep each fired closure (and everything it captured)
-// reachable until the slot's next rotation.
-type wheelSlot struct {
-	head   int
-	events []event
+// node is one near event. Its timestamp is implied by the slot it is
+// linked into and its seq by its position in the list, so neither is
+// stored. Index 0 is reserved as the nil link.
+type node struct {
+	fn   func()
+	next int32
 }
 
-// take removes and returns the slot's next event, zeroing the vacated
-// entry. done reports whether the slot is now empty (and was reset).
-//
-//simvet:hotpath
-func (s *wheelSlot) take() (ev event, done bool) {
-	ev = s.events[s.head]
-	s.events[s.head] = event{}
-	s.head++
-	if s.head < len(s.events) {
-		return ev, false
-	}
-	s.head = 0
-	if cap(s.events) > slotShrinkCap {
-		s.events = nil // shrink policy: release burst-sized storage
-	} else {
-		s.events = s.events[:0]
-	}
-	return ev, true
-}
-
-// wheelLevel is one ring of slots plus an occupancy bitmap so the next
-// non-empty slot is found with four word tests instead of 256 loads.
-type wheelLevel struct {
-	occupied [wheelSlots / 64]uint64
-	slots    [wheelSlots]wheelSlot
-}
-
-// scan returns the first occupied slot index at or after from.
-func (l *wheelLevel) scan(from int) (int, bool) {
-	w := from >> 6
-	word := l.occupied[w] &^ (1<<(uint(from)&63) - 1)
-	for {
-		if word != 0 {
-			return w<<6 | bits.TrailingZeros64(word), true
-		}
-		w++
-		if w == len(l.occupied) {
-			return 0, false
-		}
-		word = l.occupied[w]
-	}
-}
-
-func (l *wheelLevel) mark(idx int)  { l.occupied[idx>>6] |= 1 << (uint(idx) & 63) }
-func (l *wheelLevel) clear(idx int) { l.occupied[idx>>6] &^= 1 << (uint(idx) & 63) }
+// ringSlot is one nanosecond's FIFO list. head and tail are meaningful
+// only while the slot's occupancy bit is set, which is what lets the
+// zero value be an empty ring.
+type ringSlot struct{ head, tail int32 }
 
 // timingWheel is the queue itself. The zero value is ready to use,
 // which keeps Engine's documented zero-value contract.
 type timingWheel struct {
 	// cur is the timestamp of the last popped event: a lower bound on
-	// every queued event, and the reference point for level selection.
-	// It advances only through pop and cascade — never past a pending
-	// event — so it may lag Engine.now after RunUntil fast-forwards
-	// the clock across an empty stretch.
-	cur    Time
-	count  int
-	levels [wheelLevels]wheelLevel
+	// every queued event and the base of the near window. Only pop
+	// advances it, so it may lag Engine.now after RunUntil
+	// fast-forwards the clock across an empty stretch; pushes that land
+	// beyond the lagging window are simply filed far.
+	cur  Time
+	near int // events in the ring
+
+	nodes []node
+	free  int32 // head of the LIFO freelist through node.next; 0 = empty
+
+	far eventHeap
+
+	occupied [ringWords]uint64
+	slots    [ringSlots]ringSlot
 }
 
+// len reports the number of queued events.
+func (w *timingWheel) len() int { return w.near + w.far.len() }
+
+// push files ev by its distance from the clock. The caller guarantees
+// ev.at >= cur (Engine.At rejects the past).
+//
 //simvet:hotpath
 func (w *timingWheel) push(ev event) {
-	w.place(ev)
-	w.count++
-}
-
-// place files ev into the slot for its timestamp: the level is chosen
-// from the highest bit where at differs from cur (same 256ns window →
-// level 0, same 64µs window → level 1, ...), so exactly one slot's
-// window contains at, and slot indices cannot collide across wheel
-// rotations.
-//
-//simvet:hotpath
-func (w *timingWheel) place(ev event) {
-	lvl := 0
-	if diff := uint64(ev.at ^ w.cur); diff != 0 {
-		lvl = (bits.Len64(diff) - 1) >> 3
+	if uint64(ev.at-w.cur) >= ringSlots {
+		w.far.push(ev)
+		return
 	}
-	idx := int(ev.at>>(uint(lvl)*wheelBits)) & wheelMask
-	l := &w.levels[lvl]
-	l.slots[idx].events = append(l.slots[idx].events, ev)
-	l.mark(idx)
-}
-
-// maxTime is the unbounded horizon for nextTime.
-const maxTime = Time(1<<63 - 1)
-
-// nextTime returns the earliest queued event's timestamp. It may
-// cascade coarse buckets down as a side effect, which never changes
-// the pop order. ok is false when the wheel is empty or the earliest
-// event provably lies beyond limit.
-//
-// The limit matters for correctness, not just early exit: cascading
-// advances the wheel clock, and a peek for a bounded drain (RunUntil)
-// must not advance it past the deadline — the engine clock stops
-// there, and a later push between the deadline and an over-advanced
-// wheel clock would be filed into an already-passed slot and lost. A
-// bucket is therefore only cascaded when its window start is within
-// limit, which caps the clock at the deadline; pop uses maxTime.
-//
-//simvet:hotpath
-func (w *timingWheel) nextTime(limit Time) (Time, bool) {
-	if w.count == 0 {
-		return 0, false
-	}
-	for {
-		if s, ok := w.levels[0].scan(int(w.cur) & wheelMask); ok {
-			// Found without advancing the clock: return the true
-			// timestamp even if it exceeds limit — the caller compares.
-			return (w.cur &^ wheelMask) | Time(s), true
-		}
-		// Level 0 is drained: the earliest event sits in the first
-		// occupied bucket of the lowest occupied level — every level-L
-		// event lies inside the clock's current level-(L+1) window, so
-		// finer levels always precede coarser ones. Cascade that bucket
-		// one step down and rescan.
-		cascaded := false
-		for lvl := 1; lvl < wheelLevels; lvl++ {
-			idx := int(w.cur>>(uint(lvl)*wheelBits)) & wheelMask
-			if b, ok := w.levels[lvl].scan(idx); ok {
-				shift := uint(lvl) * wheelBits
-				windowMask := Time(1)<<(shift+wheelBits) - 1
-				start := (w.cur &^ windowMask) | Time(b)<<shift
-				if start > limit {
-					// Every queued event is >= start > limit; stop
-					// before the cascade moves the clock past limit.
-					return 0, false
-				}
-				w.cascade(lvl, b, start)
-				cascaded = true
-				break
-			}
-		}
-		if !cascaded {
-			panic("sim: timing wheel lost events (count/bitmap mismatch)")
-		}
-	}
-}
-
-// cascade advances the wheel clock to start — the beginning of bucket
-// b's window; every earlier window is drained, so no pending event is
-// skipped — and re-files the bucket's events, which now land at
-// strictly lower levels. Stored order is preserved, keeping each
-// destination slot seq-sorted.
-//
-//simvet:hotpath
-func (w *timingWheel) cascade(lvl, b int, start Time) {
-	if start > w.cur {
-		w.cur = start
-	}
-	l := &w.levels[lvl]
-	s := &l.slots[b]
-	evs := s.events[s.head:]
-	for i := range evs {
-		w.place(evs[i]) // appends only to levels below lvl: evs is stable
-	}
-	clear(s.events) // drop the moved closure references
-	s.head = 0
-	if cap(s.events) > slotShrinkCap {
-		s.events = nil // shrink policy, as in wheelSlot.take
+	n := w.free
+	if n != 0 {
+		w.free = w.nodes[n].next
 	} else {
-		s.events = s.events[:0]
+		if len(w.nodes) == 0 {
+			w.nodes = append(w.nodes, node{}) // index 0: the nil link
+		}
+		n = int32(len(w.nodes))
+		w.nodes = append(w.nodes, node{})
 	}
-	l.clear(b)
+	w.nodes[n] = node{fn: ev.fn}
+	s := int(ev.at) & ringMask
+	slot := &w.slots[s]
+	if bit := uint64(1) << (uint(s) & 63); w.occupied[s>>6]&bit == 0 {
+		w.occupied[s>>6] |= bit
+		slot.head = n
+	} else {
+		w.nodes[slot.tail].next = n
+	}
+	slot.tail = n
+	w.near++
 }
 
-// pop removes and returns the earliest queued event; the wheel must be
-// non-empty.
+// nextNear returns the timestamp of the ring's earliest event; the
+// ring must be non-empty. Every ring event lies in [cur, cur+ringSlots),
+// so the first occupied slot at or circularly after cur's is the
+// earliest. The first word is masked to the bits at and above cur's
+// slot; coming back round to it unmasked picks up the bits below, which
+// are the window's last slots.
+//
+//simvet:hotpath
+func (w *timingWheel) nextNear() Time {
+	from := int(w.cur) & ringMask
+	i := from >> 6
+	word := w.occupied[i] &^ (1<<(uint(from)&63) - 1)
+	for word == 0 {
+		i = (i + 1) & (ringWords - 1)
+		word = w.occupied[i]
+	}
+	s := i<<6 | bits.TrailingZeros64(word)
+	return w.cur + Time((s-from)&ringMask)
+}
+
+// peek returns the earliest queued event's timestamp and whether the
+// far tier holds it, without changing the queue, which must be
+// non-empty. This is the two-way merge, and the one place the tie rule
+// lives: the heap's minimum wins whenever it is due no later than the
+// ring's next slot.
+//
+//simvet:hotpath
+func (w *timingWheel) peek() (t Time, far bool) {
+	if w.near == 0 {
+		return w.far.min(), true
+	}
+	t = w.nextNear()
+	if w.far.len() > 0 && w.far.min() <= t {
+		return w.far.min(), true
+	}
+	return t, false
+}
+
+// pop removes and returns the earliest queued event. One that came
+// from the ring carries no seq.
 //
 //simvet:hotpath
 func (w *timingWheel) pop() event {
-	t, ok := w.nextTime(maxTime)
-	if !ok {
+	if w.len() == 0 {
 		panic("sim: pop from an empty event queue")
 	}
+	t, far := w.peek()
 	w.cur = t
-	idx := int(t) & wheelMask
-	ev, done := w.levels[0].slots[idx].take()
-	if done {
-		w.levels[0].clear(idx)
+	if far {
+		return w.far.pop()
 	}
-	w.count--
+	s := int(t) & ringMask
+	slot := &w.slots[s]
+	n := slot.head
+	nd := &w.nodes[n]
+	ev := event{at: t, fn: nd.fn}
+	if nd.next == 0 {
+		w.occupied[s>>6] &^= 1 << (uint(s) & 63)
+	} else {
+		slot.head = nd.next
+	}
+	// Recycle the node, dropping its closure: the pool would otherwise
+	// keep each fired callback (and everything it captured) reachable
+	// until the node's next use.
+	*nd = node{next: w.free}
+	w.free = n
+	w.near--
+	if w.near == 0 && len(w.nodes) > poolShrinkCap {
+		w.nodes, w.free = nil, 0 // shrink policy: release burst-sized storage
+	}
 	return ev
 }

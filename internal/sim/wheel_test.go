@@ -2,31 +2,36 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/rng"
 )
 
-// --- Differential testing: timing wheel vs retired 4-ary heap -------
+// --- Differential testing: ring + far heap vs a plain 4-ary heap ----
 //
-// The wheel replaced the heap under a strict contract: identical
-// (at, seq) pop order for every schedule. These tests drive both
-// queues with the same random interleavings of scheduling, single
-// pops, and RunUntil-style bounded drains, comparing every popped
-// event and every peeked timestamp.
+// The engine's queue works under a strict contract: identical
+// (at, seq) pop order to one heap holding everything, for every
+// schedule. These tests drive both with the same random interleavings
+// of scheduling, RunUntil-style bounded drains and full drains,
+// comparing every fired event and the pending count after every step.
 
 // differential mirrors one Engine-shaped trajectory onto both queues.
 type differential struct {
 	t     *testing.T
 	e     *Engine
+	r     *rng.Rand
 	h     eventHeap
 	hseq  uint64
 	fired []uint64 // seqs fired by engine callbacks, in order
+	// aim is the last timestamp scheduled at the window boundary, kept
+	// so a later push can hit the same instant from the near side.
+	aim Time
 }
 
-func newDifferential(t *testing.T) *differential {
-	return &differential{t: t, e: New()}
+func newDifferential(t *testing.T, seed uint64) *differential {
+	return &differential{t: t, e: New(), r: rng.New(seed)}
 }
 
 // schedule registers one event at the given delay from the engine
@@ -82,25 +87,37 @@ func (d *differential) compare(want []uint64) {
 	}
 }
 
-// delayFor maps a byte to a delay spanning every wheel level: same
-// instant, same level-0 slot, and each coarser window up to tens of
-// seconds, with ties made frequent so the seq tie-break is exercised.
-func delayFor(b byte, r *rng.Rand) Time {
+// delayFor maps a byte to a delay covering both tiers and the boundary
+// between them, with ties made frequent so the seq tie-break is
+// exercised — within a slot, and across the tiers.
+func (d *differential) delayFor(b byte) Time {
+	r := d.r
 	switch b % 8 {
 	case 0:
 		return 0 // same instant: pure seq ordering
 	case 1:
-		return Time(r.Uint64n(4)) // dense ties in one slot
+		return Time(r.Uint64n(4)) // dense ties in adjacent slots
 	case 2:
-		return Time(r.Uint64n(wheelSlots)) // level 0 span
+		return Time(r.Uint64n(ringSlots)) // anywhere in the near window
 	case 3:
-		return Time(r.Uint64n(1 << 16)) // level 1 span
+		// Straddle the boundary: W-1 is the ring's last slot, W and W+1
+		// are far (relative to the engine clock; the wheel clock may lag
+		// it after a RunUntil, which files all three far).
+		delay := ringSlots - 1 + Time(r.Uint64n(3))
+		d.aim = d.e.Now() + delay
+		return delay
 	case 4:
-		return Time(r.Uint64n(1 << 24)) // level 2 span
+		// The tie rule: hit the last boundary timestamp again. Once the
+		// clock has advanced this is a near push of an instant that
+		// already has events in the far tier, which must pop first.
+		if d.aim >= d.e.Now() {
+			return d.aim - d.e.Now()
+		}
+		return Time(r.Uint64n(4 * ringSlots)) // far events coming due among near ones
 	case 5:
-		return Time(r.Uint64n(1 << 32)) // level 3 span
+		return Time(r.Uint64n(1 << 24)) // far: milliseconds
 	case 6:
-		return Time(r.Uint64n(1 << 40)) // level 4 span
+		return Time(r.Uint64n(1 << 40)) // far: minutes
 	default:
 		return Time(r.Uint64n(1000) + 1) // churn regime
 	}
@@ -109,17 +126,16 @@ func delayFor(b byte, r *rng.Rand) Time {
 // applyOps interprets a byte string as a schedule/drain interleaving
 // and checks wheel/heap equivalence after every step.
 func applyOps(t *testing.T, ops []byte, seed uint64) {
-	d := newDifferential(t)
-	r := rng.New(seed)
+	d := newDifferential(t, seed)
 	for _, op := range ops {
 		switch {
 		case op < 160: // schedule a burst
 			n := int(op%7) + 1
 			for i := 0; i < n; i++ {
-				d.schedule(delayFor(op+byte(i), r))
+				d.schedule(d.delayFor(op + byte(i)))
 			}
-		case op < 200: // bounded drain (RunUntil), sometimes past a halt
-			d.runUntil(d.e.Now() + delayFor(op, r))
+		case op < 200: // bounded drain (RunUntil), then pushes land behind the next event
+			d.runUntil(d.e.Now() + d.delayFor(op))
 		case op < 220: // zero-width drain: deadline == now
 			d.runUntil(d.e.Now())
 		default: // full drain
@@ -261,54 +277,206 @@ func TestDrainedEngineReleasesClosures(t *testing.T) {
 	runtime.KeepAlive(e)
 }
 
-// TestCascadeReleasesClosures covers the cascade path: events parked
-// in a coarse bucket are re-filed downward when the clock reaches
-// their window, and the vacated bucket must not retain them either.
-// Draining through RunUntil (peek-then-pop) also exercises nextTime's
-// cascades directly.
-func TestCascadeReleasesClosures(t *testing.T) {
+// TestFarTierReleasesClosures covers the other tier: events scheduled
+// beyond the near window sit in the heap, whose pop must not leave a
+// fired closure in its vacated tail entry. Draining through RunUntil
+// (peek-then-pop) also exercises peek on a heap-only queue.
+func TestFarTierReleasesClosures(t *testing.T) {
 	e := New()
 	freed := make(chan struct{})
-	// Far enough out to sit two levels up, forcing multiple cascades.
 	scheduleRetainable(e, 64, 1<<20, freed)
+	if e.wheel.near != 0 {
+		t.Fatalf("events at 1<<20 filed near: near=%d", e.wheel.near)
+	}
 	e.RunUntil(1 << 21)
-	waitFreed(t, freed, "cascade-drained engine")
+	waitFreed(t, freed, "far-drained engine")
+	runtime.KeepAlive(e)
+}
+
+// TestPoppedNodeReleasesClosure pins the pool's half of the contract:
+// a popped node drops its fn at once, not when the node is next reused
+// or the ring drains — here the ring never drains, a later event keeps
+// the pool alive and untouched.
+func TestPoppedNodeReleasesClosure(t *testing.T) {
+	e := New()
+	freed := make(chan struct{})
+	scheduleRetainable(e, 64, 1000, freed)
+	e.At(5000, func() {})
+	e.RunUntil(2000)
+	if e.Pending() != 1 || e.wheel.nodes == nil {
+		t.Fatalf("want one pending near event on a live pool: pending=%d", e.Pending())
+	}
+	waitFreed(t, freed, "live pool")
 	runtime.KeepAlive(e)
 }
 
 // TestWheelShrinkPolicy checks that a one-off burst does not pin its
-// high-water storage: a slot whose backing array grew past
-// slotShrinkCap releases it once drained, while ordinary slots keep
-// their (small) storage for reuse.
+// high-water storage: a node pool grown past poolShrinkCap is released
+// once the ring drains, while an ordinary pool keeps its (small)
+// storage for reuse.
 func TestWheelShrinkPolicy(t *testing.T) {
 	e := New()
-	const burst = slotShrinkCap * 2
-	for i := 0; i < burst; i++ {
+	for i := 0; i < poolShrinkCap*2; i++ {
 		e.At(100, func() {})
 	}
-	e.At(7, func() {})
 	e.Run()
-	if s := &e.wheel.levels[0].slots[100]; s.events != nil {
-		t.Fatalf("burst slot kept cap %d after drain; want released", cap(s.events))
+	if e.wheel.nodes != nil {
+		t.Fatalf("burst pool kept cap %d after drain; want released", cap(e.wheel.nodes))
 	}
-	if s := &e.wheel.levels[0].slots[7]; s.events == nil || cap(s.events) == 0 {
-		t.Fatal("ordinary slot dropped its storage; want it kept for reuse")
+	for i := 0; i < 16; i++ {
+		e.After(Time(i), func() {})
+	}
+	e.Run()
+	if cap(e.wheel.nodes) == 0 {
+		t.Fatal("ordinary pool dropped its storage; want it kept for reuse")
+	}
+	before := cap(e.wheel.nodes)
+	for i := 0; i < 16; i++ {
+		e.After(Time(i), func() {})
+	}
+	e.Run()
+	if cap(e.wheel.nodes) != before {
+		t.Fatalf("second round of 16 events grew the pool %d -> %d; want the freelist reused", before, cap(e.wheel.nodes))
 	}
 }
 
-// TestWheelSlotReuseAfterShrink makes sure a shrunk slot keeps
-// working: the next rotation simply reallocates it.
-func TestWheelSlotReuseAfterShrink(t *testing.T) {
+// TestPoolReuseAfterShrink makes sure a released pool keeps working:
+// the next burst simply reallocates it.
+func TestPoolReuseAfterShrink(t *testing.T) {
 	e := New()
 	for round := 0; round < 3; round++ {
 		at := e.Now() + 100
 		fired := 0
-		for i := 0; i < slotShrinkCap*2; i++ {
+		for i := 0; i < poolShrinkCap*2; i++ {
 			e.At(at, func() { fired++ })
 		}
 		e.Run()
-		if fired != slotShrinkCap*2 {
-			t.Fatalf("round %d fired %d events, want %d", round, fired, slotShrinkCap*2)
+		if fired != poolShrinkCap*2 {
+			t.Fatalf("round %d fired %d events, want %d", round, fired, poolShrinkCap*2)
 		}
+	}
+}
+
+// --- The tier boundary, deterministically ---------------------------
+
+// firing logs the tag of each fired event.
+type firing struct{ got []int }
+
+func (f *firing) tag(i int) func() { return func() { f.got = append(f.got, i) } }
+
+func (f *firing) want(t *testing.T, want ...int) {
+	t.Helper()
+	if !slices.Equal(f.got, want) {
+		t.Fatalf("fired %v, want %v", f.got, want)
+	}
+}
+
+// TestTieGoesToFarTier forces the merge's tie rule: one timestamp is
+// pushed while it lies beyond the window (far), the clock advances,
+// and the same timestamp is pushed again (now near). The far events
+// carry the smaller seqs and must fire first.
+func TestTieGoesToFarTier(t *testing.T) {
+	e := New()
+	var f firing
+	at := Time(ringSlots + 100)
+	e.At(200, f.tag(0))
+	e.At(at, f.tag(2)) // at >= cur+W: far
+	e.At(at, f.tag(3))
+	e.RunUntil(200) // pops 0, which slides the window over at
+	e.At(at, f.tag(4))
+	e.At(at, f.tag(5))
+	if e.wheel.far.len() != 2 || e.wheel.near != 2 {
+		t.Fatalf("want the instant split 2 far / 2 near, got %d / %d", e.wheel.far.len(), e.wheel.near)
+	}
+	e.At(at-1, f.tag(1)) // a later push at an earlier instant still precedes the tie
+	e.Run()
+	f.want(t, 0, 1, 2, 3, 4, 5)
+}
+
+// TestWindowBoundary files W-1 near and W, W+1 far, and pops them in
+// time order together with a later near push at W.
+func TestWindowBoundary(t *testing.T) {
+	e := New()
+	var f firing
+	e.At(ringSlots+1, f.tag(4))
+	e.At(ringSlots, f.tag(2))
+	e.At(ringSlots-1, f.tag(1))
+	e.At(0, f.tag(0))
+	if e.wheel.far.len() != 2 || e.wheel.near != 2 {
+		t.Fatalf("want 2 far / 2 near, got %d / %d", e.wheel.far.len(), e.wheel.near)
+	}
+	e.RunUntil(ringSlots - 1)
+	e.At(ringSlots, f.tag(3)) // same instant as a far event: fires after it
+	e.Run()
+	f.want(t, 0, 1, 2, 3, 4)
+	if e.Now() != ringSlots+1 {
+		t.Fatalf("clock ended at %v, want %v", e.Now(), Time(ringSlots+1))
+	}
+}
+
+// TestRunUntilThenPush: RunUntil stops between events, and a push then
+// lands after the deadline but before the event RunUntil's peek looked
+// at. A peek must move nothing, so the push is filed and fires in order
+// — also when RunUntil fast-forwarded the engine clock across an empty
+// queue and the wheel clock lags it by more than a window.
+func TestRunUntilThenPush(t *testing.T) {
+	e := New()
+	var f firing
+	e.At(100, f.tag(0))
+	e.At(3*ringSlots, f.tag(3)) // far
+	e.At(6000, f.tag(2))        // near, but beyond the deadline below
+	e.RunUntil(5000)
+	e.At(5001, f.tag(1)) // between the deadline and both pending events
+	e.Run()
+	f.want(t, 0, 1, 2, 3)
+
+	e = New()
+	f = firing{}
+	e.RunUntil(100 * ringSlots) // empty queue: only the engine clock moves
+	e.After(5, f.tag(1))
+	e.After(0, f.tag(0))
+	e.After(ringSlots+5, f.tag(4))
+	e.After(5, f.tag(2))
+	e.After(ringSlots-1, f.tag(3))
+	e.Run()
+	f.want(t, 0, 1, 2, 3, 4)
+	if want := Time(101*ringSlots + 5); e.Now() != want {
+		t.Fatalf("clock ended at %v, want %v", e.Now(), want)
+	}
+}
+
+// TestSameInstantMegabatch schedules a quarter-million events at one
+// instant. They share one slot's list, appended and unlinked at its
+// ends, so the batch costs O(1) per event (a scan or copy per event
+// would make this test take minutes), fires in scheduling order, and
+// a callback may keep appending to the instant being drained.
+func TestSameInstantMegabatch(t *testing.T) {
+	const n = 1 << 18
+	e := New()
+	next := 0
+	ordered := true
+	fn := func(i int) func() {
+		return func() {
+			ordered = ordered && i == next
+			next++
+		}
+	}
+	for i := 0; i < n; i++ {
+		e.At(2000, fn(i))
+	}
+	words := 0
+	for _, w := range e.wheel.occupied {
+		if w != 0 {
+			words++
+		}
+	}
+	if words != 1 || e.wheel.near != n {
+		t.Fatalf("megabatch spread over %d bitmap words, near=%d; want one slot holding %d", words, e.wheel.near, n)
+	}
+	e.At(2000, func() { e.After(0, fn(n+1)) }) // appends to the slot mid-drain
+	e.At(2000, fn(n))
+	e.Run()
+	if !ordered || next != n+2 {
+		t.Fatalf("megabatch fired %d of %d events, in order: %v", next, n+2, ordered)
 	}
 }

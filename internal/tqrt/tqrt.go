@@ -419,14 +419,23 @@ func (rt *Runtime) Stats() Stats {
 	return s
 }
 
-// liveView adapts worker atomics to core.View for the balancers.
-type liveView struct{ rt *Runtime }
-
-func (v liveView) Workers() int { return len(v.rt.workers) }
-func (v liveView) QueueLen(w int) int {
-	return int(v.rt.assigned[w].Load() - v.rt.workers[w].finished.Load())
+// liveView adapts worker atomics to core.View for the balancers: each
+// Load reads every worker's counters once into the view's own slices.
+type liveView struct {
+	rt     *Runtime
+	lens   []int
+	quanta []int64
 }
-func (v liveView) ServicedQuanta(w int) int64 { return v.rt.workers[w].quanta.Load() }
+
+func (v *liveView) Workers() int { return len(v.lens) }
+
+func (v *liveView) Load() ([]int, []int64) {
+	for w, wk := range v.rt.workers {
+		v.lens[w] = int(v.rt.assigned[w].Load() - wk.finished.Load())
+		v.quanta[w] = wk.quanta.Load()
+	}
+	return v.lens, v.quanta
+}
 
 // dispatch is the dispatcher goroutine: one balancing decision per
 // task, then a forward into the chosen worker's dispatch queue.
@@ -436,9 +445,9 @@ func (rt *Runtime) dispatch() {
 	var bal core.Balancer
 	switch rt.cfg.Policy {
 	case JSQMSQ:
-		bal = core.NewJSQ(core.MSQ{})
+		bal = &core.JSQ{}
 	case JSQRandom:
-		bal = core.NewJSQ(core.RandomTie{R: r})
+		bal = &core.JSQ{RandomTie: r}
 	case RandomPolicy:
 		bal = core.Random{R: r}
 	case PowerOfTwoPolicy:
@@ -446,7 +455,8 @@ func (rt *Runtime) dispatch() {
 	default:
 		panic("tqrt: unknown balance policy")
 	}
-	view := liveView{rt}
+	n := len(rt.workers)
+	view := &liveView{rt: rt, lens: make([]int, n), quanta: make([]int64, n)}
 	for m := range rt.inbox {
 		w := bal.Pick(view)
 		rt.assigned[w].Add(1)
