@@ -443,8 +443,11 @@ func writeTrace(path string, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return obs.WriteChrome(f, procs...)
+	defer f.Close() // for the error path; a second Close is harmless
+	if err := obs.WriteChrome(f, procs...); err != nil {
+		return err
+	}
+	return f.Close()
 }
 
 // writeMetrics records the canned TQ run and renders it as a windowed
@@ -462,9 +465,12 @@ func writeMetrics(path string, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer f.Close() // for the error path; a second Close is harmless
 	wins := obs.Windows(procs[0].Events, int64(100*sim.Microsecond))
-	return obs.WriteWindowsTSV(f, wins)
+	if err := obs.WriteWindowsTSV(f, wins); err != nil {
+		return err
+	}
+	return f.Close()
 }
 
 // showGoodput enables the goodput blocks in printComparison; set when

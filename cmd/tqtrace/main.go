@@ -108,8 +108,11 @@ func export(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer f.Close() // for the error path; a second Close is harmless
 	if err := obs.WriteChrome(f, procs...); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s: ", *out)

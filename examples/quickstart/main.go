@@ -81,11 +81,14 @@ func run(quantum time.Duration, tracePath string) (p50, p99 time.Duration) {
 			fmt.Fprintln(os.Stderr, "quickstart:", err)
 			os.Exit(1)
 		}
-		if err := rt.WriteTrace(f, "quickstart-TQ"); err != nil {
+		err = rt.WriteTrace(f, "quickstart-TQ")
+		if cerr := f.Close(); err == nil {
+			err = cerr // a full disk may only show at Close
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "quickstart:", err)
 			os.Exit(1)
 		}
-		f.Close()
 	}
 
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })

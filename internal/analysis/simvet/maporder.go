@@ -460,7 +460,7 @@ func isEmitCall(call *ast.CallExpr) bool {
 	if !ok {
 		return false
 	}
-	return sel.Sel.Name == "Emit" || sel.Sel.Name == "EmitBatch"
+	return sel.Sel.Name == "Emit"
 }
 
 // isMergeCall matches Add-style accumulation onto a receiver declared

@@ -289,20 +289,7 @@ type metrics struct {
 	perTenant []TenantMetrics
 	tslo      []sim.Time
 	adm       *admission
-
-	// obsBatch and obsBuf batch emissions toward recorders that accept
-	// batches (obs.BatchRecorder): events accumulate in obsBuf and flush
-	// at capacity and at result(), amortizing the interface call — and
-	// for locked recorders, the lock — over obsBatchCap events. Plain
-	// recorders keep the direct per-event path, so ordering and drop
-	// accounting are identical either way.
-	obsBatch obs.BatchRecorder
-	obsBuf   []obs.Event
 }
-
-// obsBatchCap is the emission batch size: big enough to amortize the
-// per-batch costs, small enough that the buffer stays cache-resident.
-const obsBatchCap = 256
 
 // sampleHint sizes a latency sample for the given share of the run's
 // traffic: the in-window arrivals the configured rate implies, plus 3%
@@ -318,10 +305,6 @@ func sampleHint(cfg RunConfig, ratio float64) int {
 
 func newMetrics(cfg RunConfig) *metrics {
 	m := &metrics{cfg: cfg}
-	if b, ok := cfg.Obs.(obs.BatchRecorder); ok {
-		m.obsBatch = b
-		m.obsBuf = make([]obs.Event, 0, obsBatchCap)
-	}
 	for _, c := range cfg.Workload.Classes {
 		n := sampleHint(cfg, c.Ratio)
 		m.perClass = append(m.perClass, ClassMetrics{
@@ -363,27 +346,7 @@ func (m *metrics) emit(t sim.Time, k obs.Kind, task uint64, class workload.Class
 	if m.cfg.Obs == nil {
 		return
 	}
-	e := obs.Event{T: int64(t), Task: task, Core: core, Class: int16(class), Kind: k}
-	if m.obsBatch == nil {
-		m.cfg.Obs.Emit(e)
-		return
-	}
-	m.obsBuf = append(m.obsBuf, e)
-	if len(m.obsBuf) == obsBatchCap {
-		m.flushObs()
-	}
-}
-
-// flushObs drains the emission buffer into the batch recorder. result()
-// calls it, so a run's timeline is complete once Run returns; nothing
-// else may read the recorder before then.
-//
-//simvet:hotpath
-func (m *metrics) flushObs() {
-	if len(m.obsBuf) > 0 {
-		m.obsBatch.EmitBatch(m.obsBuf)
-		m.obsBuf = m.obsBuf[:0]
-	}
+	m.cfg.Obs.Emit(obs.Event{T: int64(t), Task: task, Core: core, Class: int16(class), Kind: k})
 }
 
 // tracing reports whether an obs recorder is attached; machines use it
@@ -439,9 +402,6 @@ func (m *metrics) tenantDrop(req workload.Request) {
 }
 
 func (m *metrics) result(system string, rtt sim.Time) *Result {
-	if m.obsBatch != nil {
-		m.flushObs()
-	}
 	window := (m.cfg.Duration - m.cfg.Warmup).Seconds()
 	var dropped uint64
 	if m.adm != nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 )
 
 // Process is one scheduler's timeline in an exported trace: a named
@@ -54,7 +55,10 @@ func tidCore(tid int) int32 {
 // chromeEvent is one record of the Chrome trace-event format
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
 // Field order here is the on-disk field order — it is part of the
-// golden-file contract, so do not reorder.
+// golden-file contract, so do not reorder. Metadata records marshal
+// through this struct; appendEvent writes event records by hand in the
+// same order, and the tests hold it to this struct's encoding/json
+// rendering byte for byte.
 type chromeEvent struct {
 	Name string      `json:"name"`
 	Cat  string      `json:"cat"`
@@ -64,14 +68,6 @@ type chromeEvent struct {
 	Tid  int         `json:"tid"`
 	S    string      `json:"s,omitempty"`
 	Args interface{} `json:"args,omitempty"`
-}
-
-// chromeArgs carries the event payload so the export is lossless:
-// ReadChrome reconstructs Event exactly from cat + ts + args.
-type chromeArgs struct {
-	Task  uint64 `json:"task"`
-	Class int16  `json:"class"`
-	Core  int32  `json:"core"`
 }
 
 type chromeName struct {
@@ -94,6 +90,11 @@ func trackName(tid int) string {
 	}
 }
 
+// chromeFlush is how many encoded bytes WriteChrome gathers before it
+// hands them to the writer, so that a bare *os.File costs one write(2)
+// per ~500 records.
+const chromeFlush = 64 << 10
+
 // WriteChrome renders the processes as Chrome trace-event JSON,
 // loadable in Perfetto or chrome://tracing. Each process becomes a pid
 // with named loadgen/dispatcher/core tracks; QuantumStart/QuantumEnd
@@ -103,72 +104,119 @@ func trackName(tid int) string {
 // event streams. Events must be time-ordered per track (emission order
 // from any recorder in this package satisfies this).
 func WriteChrome(w io.Writer, procs ...Process) error {
-	if _, err := io.WriteString(w, "{\"traceEvents\": [\n"); err != nil {
-		return err
-	}
-	first := true
-	put := func(ce chromeEvent) error {
-		b, err := json.Marshal(ce)
-		if err != nil {
-			return err
-		}
-		sep := ",\n"
-		if first {
-			sep = ""
-			first = false
-		}
-		if _, err := io.WriteString(w, sep); err != nil {
-			return err
-		}
-		_, err = w.Write(b)
-		return err
-	}
+	// Sized so that a record appended below the flush mark never regrows
+	// the buffer: the longest possible record is under 256 bytes.
+	buf := make([]byte, 0, chromeFlush+256)
+	buf = append(buf, "{\"traceEvents\": [\n"...)
+	sep := ""
 	for pi := range procs {
 		p := &procs[pi]
 		pid := pi + 1
-		if err := put(chromeEvent{Name: "process_name", Ph: "M", Pid: pid, Args: chromeName{p.Name}}); err != nil {
-			return err
-		}
-		if err := put(chromeEvent{Name: "process_sort_index", Ph: "M", Pid: pid, Args: chromeSort{pi}}); err != nil {
-			return err
+		// Process names are caller-supplied and need JSON's escaping, so
+		// the few metadata records per process go through encoding/json.
+		meta := []chromeEvent{
+			{Name: "process_name", Ph: "M", Pid: pid, Args: chromeName{p.Name}},
+			{Name: "process_sort_index", Ph: "M", Pid: pid, Args: chromeSort{pi}},
 		}
 		for _, tid := range trackTids(p.Events) {
-			if err := put(chromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid, Args: chromeName{trackName(tid)}}); err != nil {
-				return err
-			}
+			meta = append(meta, chromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid, Args: chromeName{trackName(tid)}})
 		}
-		for _, e := range p.Events {
-			ce := chromeEvent{
-				Cat:  e.Kind.String(),
-				Ts:   float64(e.T) / 1000,
-				Pid:  pid,
-				Tid:  coreTid(e.Core),
-				Args: chromeArgs{Task: e.Task, Class: e.Class, Core: e.Core},
-			}
-			switch e.Kind {
-			case QuantumStart:
-				ce.Name = fmt.Sprintf("task %d (class %d)", e.Task, e.Class)
-				ce.Ph = "B"
-			case QuantumEnd:
-				ce.Name = fmt.Sprintf("task %d (class %d)", e.Task, e.Class)
-				ce.Ph = "E"
-			default:
-				ce.Name = fmt.Sprintf("%s task %d", e.Kind, e.Task)
-				ce.Ph = "i"
-				ce.S = "t"
-				if e.Kind == Dispatch {
-					// Dispatch renders on the dispatcher track; the
-					// chosen core rides in args.core.
-					ce.Tid = tidDispatcher
-				}
-			}
-			if err := put(ce); err != nil {
+		for i := range meta {
+			b, err := json.Marshal(&meta[i])
+			if err != nil {
 				return err
+			}
+			buf = append(append(buf, sep...), b...)
+			sep = ",\n"
+		}
+		for i := range p.Events {
+			// Metadata precedes every process's events, so an event
+			// record is never the file's first.
+			buf = appendEvent(append(buf, ",\n"...), pid, &p.Events[i])
+			if len(buf) >= chromeFlush {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
 			}
 		}
 	}
-	_, err := io.WriteString(w, "\n]}\n")
+	_, err := w.Write(append(buf, "\n]}\n"...))
 	return err
+}
+
+// appendEvent appends e's trace-event record — byte for byte what
+// json.Marshal renders for a chromeEvent built from e, its Args a struct
+// of task, class and core in that order — using strconv appends only:
+// no reflection, no Sprintf, no allocation per record.
+func appendEvent(b []byte, pid int, e *Event) []byte {
+	quantum := e.Kind == QuantumStart || e.Kind == QuantumEnd
+	b = append(b, `{"name":"`...)
+	if !quantum {
+		b = append(appendKind(b, e.Kind), ' ')
+	}
+	b = append(b, "task "...)
+	b = strconv.AppendUint(b, e.Task, 10)
+	if quantum {
+		b = append(b, " (class "...)
+		b = strconv.AppendInt(b, int64(e.Class), 10)
+		b = append(b, ')')
+	}
+	b = append(b, `","cat":"`...)
+	b = appendKind(b, e.Kind)
+	tid := coreTid(e.Core)
+	switch e.Kind {
+	case QuantumStart:
+		b = append(b, `","ph":"B","ts":`...)
+	case QuantumEnd:
+		b = append(b, `","ph":"E","ts":`...)
+	case Dispatch:
+		// Dispatch renders on the dispatcher track; the chosen core
+		// rides in args.core.
+		tid = tidDispatcher
+		fallthrough
+	default:
+		b = append(b, `","ph":"i","ts":`...)
+	}
+	b = appendMicros(b, e.T)
+	b = append(b, `,"pid":`...)
+	b = strconv.AppendInt(b, int64(pid), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(tid), 10)
+	if !quantum {
+		b = append(b, `,"s":"t"`...)
+	}
+	// The args carry the event payload so the export is lossless:
+	// ReadChrome reconstructs Event exactly from cat + ts + args.
+	b = append(b, `,"args":{"task":`...)
+	b = strconv.AppendUint(b, e.Task, 10)
+	b = append(b, `,"class":`...)
+	b = strconv.AppendInt(b, int64(e.Class), 10)
+	b = append(b, `,"core":`...)
+	b = strconv.AppendInt(b, int64(e.Core), 10)
+	return append(b, "}}"...)
+}
+
+// appendMicros appends t nanoseconds as the microsecond timestamp
+// encoding/json would print for float64(t)/1000: the shortest decimal
+// that reads back as that float64.
+func appendMicros(b []byte, t int64) []byte {
+	if t < 0 || t >= 1e15 {
+		// encoding/json switches to exponent form only below 1e-6 and
+		// from 1e21; a nonzero int64 over 1000 lies in [1e-3, 1e16).
+		return strconv.AppendFloat(b, float64(t)/1000, 'f', -1, 64)
+	}
+	// Below 1e15 ns the exact quotient has at most 15 significant
+	// digits, and no two decimals that short share a float64, so the
+	// shortest form is the quotient itself with trailing zeros trimmed.
+	b = strconv.AppendInt(b, t/1000, 10)
+	if frac := t % 1000; frac != 0 {
+		b = append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
+		for b[len(b)-1] == '0' {
+			b = b[:len(b)-1]
+		}
+	}
+	return b
 }
 
 // trackTids returns the sorted set of tids the events touch, always
@@ -177,15 +225,17 @@ func trackTids(events []Event) []int {
 	if len(events) == 0 {
 		return nil
 	}
-	seen := map[int]bool{tidLoadgen: true, tidDispatcher: true}
-	for _, e := range events {
-		seen[coreTid(e.Core)] = true
+	var seen perCore[struct{}]
+	seen.set(CoreLoadgen, struct{}{})
+	seen.set(CoreDispatcher, struct{}{})
+	for i := range events {
+		seen.set(events[i].Core, struct{}{})
 	}
-	tids := make([]int, 0, len(seen))
-	for t := range seen {
-		tids = append(tids, t)
+	cores := seen.cores()
+	tids := make([]int, len(cores))
+	for i, c := range cores {
+		tids[i] = coreTid(c) // monotone in the core, so tids stay sorted
 	}
-	sort.Ints(tids)
 	return tids
 }
 

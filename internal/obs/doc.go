@@ -36,5 +36,27 @@
 //
 // Recording is strictly opt-in and free when off: emit sites guard on
 // a nil recorder, and the guard benchmark in internal/cluster holds
-// tracing-off runs to the pre-observability baseline.
+// tracing-off runs to the pre-observability baseline. There is one
+// emission path: every emitter calls Recorder.Emit once per event.
+//
+// Reading a trace is held to the same budget as recording it. A run
+// emits ten events per request, so the read side is built to cost tens
+// of nanoseconds per event, not a microsecond:
+//
+//   - WriteChrome appends each event record into one reused buffer with
+//     strconv (no reflection, no Sprintf, no per-record allocation) and
+//     hands the writer ~64 KB at a time, so a bare *os.File is fine.
+//     The bytes are exactly what encoding/json produced before — field
+//     order, shortest-float timestamps and all; a differential fuzz
+//     test against the json.Marshal encoder holds that. Only the few
+//     metadata records per process, whose names are caller-supplied and
+//     need JSON escaping, still go through encoding/json.
+//   - Summarize, Windows, Validate and WriteChrome's track list keep
+//     their per-core state in one shared structure, perCore: a slice
+//     indexed by core for the loadgen/dispatcher pseudo-cores and the
+//     first 65536 worker cores (64 of internal/rack's 1024-core bands),
+//     a map for any other int32. Core and task values arrive from files
+//     (ReadChrome), so none of these functions panics on, or sizes an
+//     allocation by, a value — only by the number of events. Summary's
+//     per-core tables stop at core 65535 for the same reason.
 package obs

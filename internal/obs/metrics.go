@@ -15,7 +15,11 @@ import (
 type Summary struct {
 	// Name labels the scheduler (Process.Name when read from a file).
 	Name string
-	// Cores is the number of worker cores observed.
+	// Cores is the number of worker cores observed: one past the highest
+	// core index seen. Indices from 65536 up (beyond 64 rack bands — a
+	// damaged file, not a machine) are not worker cores: their events
+	// still count by kind and task, but Cores, CoreBusy and Util, which
+	// are sized by core index, leave them out.
 	Cores int
 	// Start and End bound the observed timeline, in ns.
 	Start, End int64
@@ -49,9 +53,10 @@ func Summarize(name string, events []Event) *Summary {
 	}
 	s.Start = events[0].T
 	arrived := map[uint64]int64{}
-	started := map[int32]int64{}
+	var started perCore[int64]
 	occupancy := 0
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		if e.T > s.End {
 			s.End = e.T
 		}
@@ -59,7 +64,8 @@ func Summarize(name string, events []Event) *Summary {
 			s.Start = e.T
 		}
 		s.Counts[e.Kind]++
-		if c := int(e.Core) + 1; e.Core >= 0 && c > s.Cores {
+		worker := e.Core >= 0 && e.Core < denseCores
+		if c := int(e.Core) + 1; worker && c > s.Cores {
 			s.Cores = c
 		}
 		switch e.Kind {
@@ -70,14 +76,16 @@ func Summarize(name string, events []Event) *Summary {
 				s.MaxOccupancy = occupancy
 			}
 		case QuantumStart:
-			started[e.Core] = e.T
+			started.set(e.Core, e.T)
 		case QuantumEnd:
-			if at, ok := started[e.Core]; ok {
-				for int(e.Core) >= len(s.CoreBusy) {
-					s.CoreBusy = append(s.CoreBusy, 0)
+			if at, ok := started.get(e.Core); ok {
+				started.clear(e.Core)
+				if worker {
+					for int(e.Core) >= len(s.CoreBusy) {
+						s.CoreBusy = append(s.CoreBusy, 0)
+					}
+					s.CoreBusy[e.Core] += e.T - at
 				}
-				s.CoreBusy[e.Core] += e.T - at
-				delete(started, e.Core)
 			}
 		case ProbeYield, Preempt:
 			s.Preemptions++
@@ -208,12 +216,11 @@ func Windows(events []Event, width int64) []Window {
 		return nil
 	}
 	start, end := events[0].T, events[0].T
-	for _, e := range events {
-		if e.T < start {
-			start = e.T
-		}
-		if e.T > end {
-			end = e.T
+	for i := range events {
+		if t := events[i].T; t < start {
+			start = t
+		} else if t > end {
+			end = t
 		}
 	}
 	n := int((end-start)/width) + 1
@@ -234,14 +241,15 @@ func Windows(events []Event, width int64) []Window {
 	}
 	cores := 0
 	arrived := map[uint64]int64{}
-	started := map[int32]int64{}
+	var started perCore[int64]
 	occupancy := 0
 	// occAt records the latest occupancy seen per window; windows with
 	// no events inherit their predecessor's value afterwards.
 	occAt := make([]int, n)
 	occSet := make([]bool, n)
 	busy := make([]int64, n) // quantum ns overlapping each window
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		if c := int(e.Core) + 1; e.Core >= 0 && c > cores {
 			cores = c
 		}
@@ -253,13 +261,13 @@ func Windows(events []Event, width int64) []Window {
 		case Dispatch:
 			wins[w].Dispatches++
 		case QuantumStart:
-			started[e.Core] = e.T
+			started.set(e.Core, e.T)
 		case QuantumEnd:
-			at, ok := started[e.Core]
+			at, ok := started.get(e.Core)
 			if !ok {
 				break
 			}
-			delete(started, e.Core)
+			started.clear(e.Core)
 			// Apportion [at, e.T) across the windows it overlaps.
 			for t := at; t < e.T; {
 				i := idx(t)

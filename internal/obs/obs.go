@@ -1,6 +1,6 @@
 package obs
 
-import "fmt"
+import "strconv"
 
 // Kind labels one scheduling event. The vocabulary is shared by every
 // machine model and the live runtime; a given scheduler emits the
@@ -53,7 +53,17 @@ func (k Kind) String() string {
 	if int(k) < len(kindNames) {
 		return kindNames[k]
 	}
-	return fmt.Sprintf("kind(%d)", uint8(k))
+	return string(appendKind(nil, k))
+}
+
+// appendKind appends k's wire name to b.
+func appendKind(b []byte, k Kind) []byte {
+	if int(k) < len(kindNames) {
+		return append(b, kindNames[k]...)
+	}
+	b = append(b, "kind("...)
+	b = strconv.AppendUint(b, uint64(k), 10)
+	return append(b, ')')
 }
 
 // KindFromString maps a wire name back to its Kind; ok is false for
@@ -99,16 +109,4 @@ type Event struct {
 // enablement.
 type Recorder interface {
 	Emit(Event)
-}
-
-// BatchRecorder is the optional Recorder extension for emitters that
-// buffer: EmitBatch(evs) is exactly Emit of each event in order, with
-// the per-event call overhead (and, for locked recorders, the lock)
-// amortized over the batch. The batch slice stays owned by the caller,
-// which may reuse it as soon as the call returns. The machine kernel's
-// metrics layer batches its emissions and uses this path when the
-// run's recorder provides it.
-type BatchRecorder interface {
-	Recorder
-	EmitBatch([]Event)
 }

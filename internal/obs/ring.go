@@ -45,22 +45,6 @@ func (r *Ring) Emit(e Event) {
 	r.discarded++
 }
 
-// EmitBatch records the events in order, counting whatever exceeds the
-// cap as discarded — Emit amortized over one bulk append.
-//
-//simvet:hotpath
-func (r *Ring) EmitBatch(evs []Event) {
-	if cap(r.events) == 0 {
-		r.events = make([]Event, 0, DefaultCap)
-	}
-	fit := cap(r.events) - len(r.events)
-	if fit > len(evs) {
-		fit = len(evs)
-	}
-	r.events = append(r.events, evs[:fit]...)
-	r.discarded += len(evs) - fit
-}
-
 // Events returns the recorded events in emission order. The slice is
 // owned by the ring and must not be modified.
 func (r *Ring) Events() []Event { return r.events }
@@ -82,8 +66,6 @@ func (r *Ring) Reset() {
 	r.discarded = 0
 }
 
-var _ BatchRecorder = (*Ring)(nil)
-
 // Locked wraps a Ring with a mutex for multi-goroutine writers (the
 // live load generator, TrySubmit drop paths). The zero value is ready
 // to use with DefaultCap.
@@ -104,16 +86,6 @@ func NewLocked(capacity int) *Locked {
 func (l *Locked) Emit(e Event) {
 	l.mu.Lock()
 	l.ring.Emit(e)
-	l.mu.Unlock()
-}
-
-// EmitBatch records the batch under one lock acquisition instead of
-// one per event.
-//
-//simvet:hotpath
-func (l *Locked) EmitBatch(evs []Event) {
-	l.mu.Lock()
-	l.ring.EmitBatch(evs)
 	l.mu.Unlock()
 }
 
@@ -156,8 +128,6 @@ func (l *Locked) Reset() {
 	l.ring.Reset()
 	l.mu.Unlock()
 }
-
-var _ BatchRecorder = (*Locked)(nil)
 
 // Sharded is a set of single-writer rings — one per emitting goroutine
 // — merged into a single time-ordered stream at read time. The live

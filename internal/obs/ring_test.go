@@ -59,49 +59,17 @@ func TestShardedEventsEmptyShards(t *testing.T) {
 	}
 }
 
-func TestRingEmitBatch(t *testing.T) {
-	r := NewRing(4)
-	batch := []Event{{T: 1, Task: 1}, {T: 2, Task: 2}, {T: 3, Task: 3}}
-	r.EmitBatch(batch)
-	if r.Len() != 3 || r.Truncated() {
-		t.Fatalf("len=%d truncated=%v after in-cap batch", r.Len(), r.Truncated())
-	}
-	// Second batch overflows: one fits, two are discarded, and the kept
-	// events are still the prefix of the combined stream.
-	r.EmitBatch([]Event{{T: 4, Task: 4}, {T: 5, Task: 5}, {T: 6, Task: 6}})
-	if r.Len() != 4 || r.Discarded() != 2 {
-		t.Fatalf("len=%d discarded=%d, want 4/2", r.Len(), r.Discarded())
-	}
-	for i, e := range r.Events() {
-		if e.Task != uint64(i+1) {
-			t.Fatalf("event %d is task %d, want %d", i, e.Task, i+1)
-		}
-	}
-}
-
-func TestRingEmitBatchZeroValue(t *testing.T) {
-	var r Ring
-	r.EmitBatch([]Event{{T: 1}, {T: 2}})
-	if r.Len() != 2 {
-		t.Fatalf("zero-value ring batch recorded %d events, want 2", r.Len())
-	}
-}
-
 // TestLockedParity drives a Locked and a bare Ring with the same
 // operations and checks every read-side accessor agrees — Locked is a
 // mutex around Ring and nothing more.
 func TestLockedParity(t *testing.T) {
 	l := NewLocked(4)
 	r := NewRing(4)
-	ops := func(emit func(Event), batch func([]Event)) {
-		emit(Event{T: 1, Task: 1})
-		batch([]Event{{T: 2, Task: 2}, {T: 3, Task: 3}})
-		emit(Event{T: 4, Task: 4})
-		emit(Event{T: 5, Task: 5}) // over cap: discarded
-		batch([]Event{{T: 6, Task: 6}})
+	for task := uint64(1); task <= 6; task++ { // two over cap: discarded
+		e := Event{T: int64(task), Task: task}
+		l.Emit(e)
+		r.Emit(e)
 	}
-	ops(l.Emit, l.EmitBatch)
-	ops(r.Emit, r.EmitBatch)
 
 	if l.Len() != r.Len() {
 		t.Fatalf("Len: locked %d, ring %d", l.Len(), r.Len())

@@ -2,11 +2,13 @@ package obs
 
 import "fmt"
 
-// taskState tracks one task's progress through the lifecycle.
+// taskState tracks one task's progress through the lifecycle. Validate
+// keeps one per task by value in its map, so the fields are ordered to
+// pack into 16 bytes.
 type taskState struct {
-	last  Kind
 	lastT int64
 	core  int32 // core of the open quantum, valid between QuantumStart and QuantumEnd
+	last  Kind
 	done  bool
 }
 
@@ -35,15 +37,18 @@ type taskState struct {
 // a pending QuantumEnd with its cause event past the cap is not an
 // error.
 func Validate(events []Event) error {
-	tasks := map[uint64]*taskState{}
-	open := map[int32]uint64{} // core -> task of the open quantum
-	for i, e := range events {
-		ts := tasks[e.Task]
-		if ts == nil {
+	// Finished tasks stay in the map: that is what catches an event
+	// after a terminal one, or a second Arrive.
+	tasks := map[uint64]taskState{}
+	var open perCore[uint64] // core -> task of the open quantum
+	for i := range events {
+		e := &events[i]
+		ts, seen := tasks[e.Task]
+		if !seen {
 			if e.Kind != Arrive {
 				return fmt.Errorf("event %d: task %d begins with %v, want arrive", i, e.Task, e.Kind)
 			}
-			tasks[e.Task] = &taskState{last: Arrive, lastT: e.T}
+			tasks[e.Task] = taskState{last: Arrive, lastT: e.T}
 			continue
 		}
 		if ts.done {
@@ -68,11 +73,11 @@ func Validate(events []Event) error {
 			if ts.last != Dispatch && ts.last != ProbeYield && ts.last != Preempt {
 				return fmt.Errorf("event %d: task %d quantum started after %v", i, e.Task, ts.last)
 			}
-			if other, busy := open[e.Core]; busy {
+			if other, busy := open.get(e.Core); busy {
 				return fmt.Errorf("event %d: task %d quantum started on core %d while task %d's quantum is open",
 					i, e.Task, e.Core, other)
 			}
-			open[e.Core] = e.Task
+			open.set(e.Core, e.Task)
 			ts.core = e.Core
 		case QuantumEnd:
 			if ts.last != QuantumStart {
@@ -82,7 +87,7 @@ func Validate(events []Event) error {
 				return fmt.Errorf("event %d: task %d quantum ended on core %d but started on core %d",
 					i, e.Task, e.Core, ts.core)
 			}
-			delete(open, e.Core)
+			open.clear(e.Core)
 		case ProbeYield, Preempt:
 			if ts.last != QuantumEnd {
 				return fmt.Errorf("event %d: task %d got %v after %v, want qend", i, e.Task, e.Kind, ts.last)
@@ -111,6 +116,7 @@ func Validate(events []Event) error {
 		}
 		ts.last = e.Kind
 		ts.lastT = e.T
+		tasks[e.Task] = ts
 	}
 	return nil
 }

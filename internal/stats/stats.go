@@ -3,14 +3,17 @@
 // samples, fixed-bucket histograms, and slowdown bookkeeping.
 //
 // The paper reports 99.9th-percentile latencies and slowdowns, so the
-// estimators here are exact (sorted-sample) rather than approximate;
+// estimators here are exact (order statistics) rather than approximate;
 // simulated experiments record at most a few million samples, which fits
 // comfortably in memory.
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -18,8 +21,13 @@ import (
 // moment queries. The zero value is ready to use.
 type Sample struct {
 	values []float64
-	sorted bool
 	sum    float64
+	// placed lists, ascending, the ranks a Quantile has already put in
+	// place: values[r] is what a full sort would leave there, nothing
+	// before it orders after it and nothing after it before. The next
+	// Quantile searches only between its neighbours in this list. Add
+	// empties it.
+	placed []int
 }
 
 // NewSample returns a Sample with capacity pre-allocated for n
@@ -32,7 +40,7 @@ func NewSample(n int) *Sample {
 func (s *Sample) Add(v float64) {
 	s.values = append(s.values, v)
 	s.sum += v
-	s.sorted = false
+	s.placed = s.placed[:0]
 }
 
 // Len reports the number of recorded observations.
@@ -48,12 +56,14 @@ func (s *Sample) Mean() float64 {
 }
 
 // Max returns the largest observation, or 0 if none were recorded.
+// Like every order statistic here it uses package cmp's order, which is
+// sort.Float64s's — ascending, NaNs before everything — so the result
+// is the one a sorted sample would give.
 func (s *Sample) Max() float64 {
 	if len(s.values) == 0 {
 		return 0
 	}
-	s.sort()
-	return s.values[len(s.values)-1]
+	return slices.MaxFunc(s.values, cmp.Compare[float64])
 }
 
 // Min returns the smallest observation, or 0 if none were recorded.
@@ -61,20 +71,14 @@ func (s *Sample) Min() float64 {
 	if len(s.values) == 0 {
 		return 0
 	}
-	s.sort()
-	return s.values[0]
-}
-
-func (s *Sample) sort() {
-	if !s.sorted {
-		sort.Float64s(s.values)
-		s.sorted = true
-	}
+	return slices.MinFunc(s.values, cmp.Compare[float64])
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) using the nearest-rank
 // method, or 0 if no observations were recorded. Quantile(0.999) is the
-// paper's p99.9.
+// paper's p99.9. Nearest-rank is an exact order statistic, so the
+// sample is not sorted for it: the one rank is selected, in linear
+// time, and the observations are left partially ordered around it.
 func (s *Sample) Quantile(q float64) float64 {
 	n := len(s.values)
 	if n == 0 {
@@ -86,7 +90,6 @@ func (s *Sample) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	s.sort()
 	rank := int(math.Ceil(q * float64(n)))
 	if rank < 1 {
 		rank = 1
@@ -94,7 +97,78 @@ func (s *Sample) Quantile(q float64) float64 {
 	if rank > n {
 		rank = n
 	}
-	return s.values[rank-1]
+	return s.at(rank - 1)
+}
+
+// at returns the observation at 0-based rank k of the sorted sample.
+func (s *Sample) at(k int) float64 {
+	i, found := slices.BinarySearch(s.placed, k)
+	if !found {
+		// Ranks already in place bracket k: the values between them are
+		// exactly the ones a sort would leave there.
+		lo, hi := 0, len(s.values)
+		if i > 0 {
+			lo = s.placed[i-1] + 1
+		}
+		if i < len(s.placed) {
+			hi = s.placed[i]
+		}
+		selectRank(s.values[lo:hi], k-lo)
+		s.placed = slices.Insert(s.placed, i, k)
+	}
+	return s.values[k]
+}
+
+// selectRank rearranges v so that v[k] is the element sort.Float64s
+// would put there, nothing before it orders after it and nothing after
+// it before: quickselect on a median-of-three pivot. A range that fails
+// to shrink geometrically (2·log2 n partitions without closing in) is
+// sorted instead, which bounds the worst case at O(n log n).
+func selectRank(v []float64, k int) {
+	lo, hi := 0, len(v) // k's value lies in v[lo:hi]
+	for budget := 2 * bits.Len(uint(len(v))); hi-lo > 12 && budget > 0; budget-- {
+		// Order v[lo], v[mid], v[hi-1]; the median becomes the pivot
+		// and the other two bound the scans below.
+		mid := lo + (hi-lo)/2
+		if cmp.Less(v[mid], v[lo]) {
+			v[mid], v[lo] = v[lo], v[mid]
+		}
+		if cmp.Less(v[hi-1], v[mid]) {
+			v[hi-1], v[mid] = v[mid], v[hi-1]
+			if cmp.Less(v[mid], v[lo]) {
+				v[mid], v[lo] = v[lo], v[mid]
+			}
+		}
+		v[lo], v[mid] = v[mid], v[lo]
+		pivot := v[lo]
+		// Both scans stop at elements equal to the pivot, so a run of
+		// duplicates splits down the middle instead of to one side.
+		i, j := lo+1, hi-1
+		for {
+			for i <= j && cmp.Less(v[i], pivot) {
+				i++
+			}
+			for i <= j && cmp.Less(pivot, v[j]) {
+				j--
+			}
+			if i >= j {
+				break
+			}
+			v[i], v[j] = v[j], v[i]
+			i++
+			j--
+		}
+		v[lo], v[j] = v[j], v[lo]
+		switch {
+		case k < j:
+			hi = j
+		case k > j:
+			lo = j + 1
+		default:
+			return
+		}
+	}
+	sort.Float64s(v[lo:hi])
 }
 
 // P999 is shorthand for Quantile(0.999).
@@ -114,7 +188,7 @@ func (s *Sample) Values() []float64 { return s.values }
 func (s *Sample) Reset() {
 	s.values = s.values[:0]
 	s.sum = 0
-	s.sorted = false
+	s.placed = s.placed[:0]
 }
 
 // Pool returns a new Sample holding every observation of parts, in
