@@ -206,10 +206,12 @@ func run(fig string, sc experiments.Scale) {
 		printSeries(experiments.Fig4(sc))
 	case "5":
 		header("Figure 5: TQ quantum sweep, short-job p99.9 sojourn(µs) vs rate(rps)")
-		printSeries(experiments.Fig5(sc))
+		short, _ := quantumSweep(sc)
+		printSeries(short)
 	case "6":
 		header("Figure 6: TQ quantum sweep, long-job p99.9 sojourn(µs) vs rate(rps)")
-		printSeries(experiments.Fig6(sc))
+		_, long := quantumSweep(sc)
+		printSeries(long)
 	case "7":
 		header("Figure 7: TQ vs Shinjuku vs Caladan, p99.9 end-to-end(µs) vs rate(rps)")
 		for _, cmp := range experiments.Fig7(sc) {
@@ -260,6 +262,17 @@ func run(fig string, sc experiments.Scale) {
 		fmt.Fprintf(os.Stderr, "tqsim: unknown figure %q\n", fig)
 		os.Exit(2)
 	}
+}
+
+// fig56 holds the series of the one sweep Figures 5 and 6 both read,
+// so a run printing both (-fig all) simulates it once.
+var fig56 struct{ short, long []stats.Series }
+
+func quantumSweep(sc experiments.Scale) (short, long []stats.Series) {
+	if fig56.short == nil {
+		fig56.short, fig56.long = experiments.Fig5And6(sc)
+	}
+	return fig56.short, fig56.long
 }
 
 // parseMachineList resolves a comma-separated -machines value against

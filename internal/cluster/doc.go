@@ -76,6 +76,21 @@
 // per-class deadlines from RunConfig.SLOs and degenerates to FCFS
 // without them.
 //
+// # Sweeps
+//
+// Load sweeps and knee searches run through one mechanism (sweep.go): a
+// Plan collects independent points (Plan.Sweep, Plan.Points) and
+// stop-at-the-first-violation chains (Plan.MaxRateUnder, Plan.Chain),
+// then runs them once on a bounded worker pool, costliest point first
+// — the rank is a point's offered requests, Rate × Duration, computed
+// when it is declared. Every point's seed is fixed at declaration
+// (rng.PointSeed(seed, index within its own curve)), so results are
+// bit-identical for any worker count and any start order.
+// ParallelSweep is a one-curve Plan; Sweep and MaxRateUnder are the
+// sequential references the pool is tested against.
+//
+// # Observability
+//
 // Every model also speaks the unified observability vocabulary of
 // internal/obs: set RunConfig.Obs to record a per-quantum scheduling
 // timeline, and use TraceComparison to run several machines on the

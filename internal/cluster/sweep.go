@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -32,7 +33,7 @@ func RatesUpTo(max float64, n int) []float64 {
 }
 
 // pointConfig is the RunConfig for point i of a sweep rooted at seed.
-// Every sweep path — sequential, parallel, speculative — builds its
+// Every sweep path — sequential, pooled curve, knee chain — builds its
 // configurations here, so they all run exactly the same simulations:
 // each point gets its own seed, derived from (seed, i), rather than
 // sharing one seed across the curve (which would correlate the arrival
@@ -46,6 +47,15 @@ func pointConfig(w *workload.Workload, rates []float64, i int, dur, warm sim.Tim
 		Warmup:   warm,
 		Seed:     rng.PointSeed(seed, uint64(i)),
 	}
+}
+
+// pointConfigs is pointConfig over the whole grid.
+func pointConfigs(w *workload.Workload, rates []float64, dur, warm sim.Time, seed uint64) []RunConfig {
+	cfgs := make([]RunConfig, len(rates))
+	for i := range rates {
+		cfgs[i] = pointConfig(w, rates, i, dur, warm, seed)
+	}
+	return cfgs
 }
 
 // Sweep runs the machine at every rate and returns one Result per
@@ -67,11 +77,11 @@ func Sweep(m Machine, w *workload.Workload, rates []float64, dur, warm sim.Time,
 // shared between simulations running on different goroutines.
 type MachineFactory func() Machine
 
-// SweepPoint describes one completed sweep point, delivered to
-// SweepOptions.OnPoint as the sweep progresses.
+// SweepPoint describes one completed simulation, delivered to
+// SweepOptions.OnPoint as a Plan progresses.
 type SweepPoint struct {
-	// Index is the point's position in the rate grid; Rate and Seed are
-	// its offered load and derived per-point seed.
+	// Index is the point's position within its own curve or chain; Rate
+	// and Seed are its offered load and the seed it ran under.
 	Index int
 	Rate  float64
 	Seed  uint64
@@ -79,7 +89,9 @@ type SweepPoint struct {
 	Result *Result
 	// Wall is host wall-clock time the point's simulation took.
 	Wall time.Duration
-	// Done and Total count completed points (Done includes this one).
+	// Done counts completed points of the plan (including this one);
+	// Total counts declared ones, which a plan with chains need not
+	// reach: points past a knee are never run.
 	Done, Total int
 }
 
@@ -92,74 +104,308 @@ func (p SweepPoint) EventsPerSec() float64 {
 	return float64(p.Result.Events) / p.Wall.Seconds()
 }
 
-// SweepOptions tunes ParallelSweep.
+// SweepOptions tunes a Plan's worker pool.
 type SweepOptions struct {
 	// Workers bounds the worker pool; <= 0 uses GOMAXPROCS.
 	Workers int
 	// OnPoint, when non-nil, observes each completed point. Calls are
-	// serialized but arrive in completion order, not rate order.
+	// serialized but arrive in completion order, not declaration order.
 	OnPoint func(SweepPoint)
 }
 
-// ParallelSweep is Sweep over a bounded worker pool: every (rate) point
-// is an independent discrete-event simulation, so the grid runs
-// embarrassingly parallel. Each point gets a fresh Machine from the
-// factory and its own derived seed, which makes the returned series —
-// in rate order — identical to Sweep's for any worker count, including
-// Workers=1.
-func ParallelSweep(mf MachineFactory, w *workload.Workload, rates []float64, dur, warm sim.Time, seed uint64, opt SweepOptions) []*Result {
-	if len(rates) == 0 {
-		// An empty grid has no points to run; return before building the
-		// worker pool (workers would clamp to zero and the range over idx
-		// would deadlock-free but pointlessly spin up machinery).
-		return nil
+// Plan is one figure's worth of simulations — whole curves (Points,
+// Sweep) and stop-at-the-first-violation scans (Chain, MaxRateUnder) —
+// declared up front and then run once, by Run, on a single bounded
+// worker pool. Every point is an independent simulation under a seed
+// fixed at declaration, so what a plan returns does not depend on the
+// worker count or on the order points happen to start in; only the wall
+// time does. A Plan is single-use and not safe for concurrent
+// declaration.
+//
+// Start order is by rank, as in a PIFO: every point carries a cost key
+// computed when it is declared — its offered requests, Rate × Duration
+// — and an idle worker takes the costliest point that may start, ties
+// in declaration order. Starting the long simulations first is what
+// keeps the pool from ending on one straggler (longest-processing-time
+// list scheduling).
+type Plan struct {
+	opt    SweepOptions
+	free   []*planPoint // independent points, sorted costliest-first by Run
+	chains []*Chain
+	total  int // declared points
+
+	mu      sync.Mutex // guards cursor and every chain's progress
+	idle    *sync.Cond // signalled when a chain point completes
+	workers int
+	cursor  int // next unstarted entry of free
+
+	report sync.Mutex // serializes OnPoint and the done counter
+	done   int
+}
+
+// planPoint is one declared simulation.
+type planPoint struct {
+	cfg   RunConfig
+	cost  float64 // rank: costliest starts first
+	seq   int     // declaration order, the tie-break
+	index int     // position within its curve or chain
+	chain *Chain  // nil for an independent point
+	// run executes the simulation; pass is the chain predicate's verdict
+	// (always true for independent points).
+	run func() (res *Result, pass bool)
+}
+
+// before orders points by rank: higher cost first, then declaration order.
+func (a *planPoint) before(b *planPoint) bool {
+	if a.cost != b.cost {
+		return a.cost > b.cost
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	return a.seq < b.seq
+}
+
+// NewPlan returns an empty plan that will run on opt's pool.
+func NewPlan(opt SweepOptions) *Plan {
+	p := &Plan{opt: opt}
+	p.idle = sync.NewCond(&p.mu)
+	return p
+}
+
+func (p *Plan) declare(cfg RunConfig, index int, chain *Chain, run func() (*Result, bool)) *planPoint {
+	pt := &planPoint{
+		cfg:   cfg,
+		cost:  cfg.Rate * float64(cfg.Duration),
+		seq:   p.total,
+		index: index,
+		chain: chain,
+		run:   run,
 	}
-	if workers > len(rates) {
-		workers = len(rates)
+	p.total++
+	return pt
+}
+
+// Curve is a declared set of independent points. Results holds one
+// Result per point, in declaration order, once Plan.Run has returned.
+type Curve struct {
+	Results []*Result
+}
+
+// Points declares one independent simulation per configuration; run
+// executes point i under cfgs[i]. It is called from pool goroutines, so
+// it must build whatever machine state it needs afresh per call.
+func (p *Plan) Points(cfgs []RunConfig, run func(i int, cfg RunConfig) *Result) *Curve {
+	c := &Curve{Results: make([]*Result, len(cfgs))}
+	for i, cfg := range cfgs {
+		p.free = append(p.free, p.declare(cfg, i, nil, func() (*Result, bool) {
+			c.Results[i] = run(i, cfg)
+			return c.Results[i], true
+		}))
 	}
-	out := make([]*Result, len(rates))
-	idx := make(chan int)
+	return c
+}
+
+// Sweep declares one load curve: a fresh machine from mf at every rate,
+// point i seeded rng.PointSeed(seed, i) exactly as the sequential Sweep
+// seeds it, so the curve's Results equal Sweep's for any pool size.
+func (p *Plan) Sweep(mf MachineFactory, w *workload.Workload, rates []float64, dur, warm sim.Time, seed uint64) *Curve {
+	return p.Points(pointConfigs(w, rates, dur, warm, seed), func(_ int, cfg RunConfig) *Result {
+		return mf().Run(cfg)
+	})
+}
+
+// Chain is a declared scan: points that matter only up to the first one
+// failing a predicate. Passed is the number of leading points that
+// passed — the scan's answer — once Plan.Run has returned.
+//
+// The pool parallelises across chains, not along them. A chain's points
+// start in ascending order, and a point whose predecessor's verdict is
+// still out starts only when a worker would otherwise idle (no
+// independent point and no other chain has an answered predecessor),
+// never more than Workers-1 points ahead of the unanswered one, and
+// never once a violation is known. With one worker that is exactly the
+// sequential scan.
+type Chain struct {
+	Passed int
+
+	points []*planPoint
+	passed []bool // per point: verdict in, and it passed
+	next   int    // lowest unstarted point
+	end    int    // the lowest point known to fail, or len(points): nothing from here on need start
+}
+
+// open reports whether the chain still has a point that may start.
+func (c *Chain) open() bool { return c.next < c.end }
+
+// settle records point i's verdict and advances Passed over every
+// leading point now known to have passed.
+func (c *Chain) settle(i int, pass bool) {
+	if pass {
+		c.passed[i] = true
+	} else if i < c.end {
+		c.end = i
+	}
+	for c.Passed < c.end && c.passed[c.Passed] {
+		c.Passed++
+	}
+}
+
+// Chain declares a scan over cfgs in order; run executes point i and
+// reports whether it passes. Like Points' run it is called from pool
+// goroutines. Results are handed to OnPoint and not retained.
+func (p *Plan) Chain(cfgs []RunConfig, run func(i int, cfg RunConfig) (res *Result, pass bool)) *Chain {
+	c := &Chain{points: make([]*planPoint, len(cfgs)), passed: make([]bool, len(cfgs)), end: len(cfgs)}
+	for i, cfg := range cfgs {
+		c.points[i] = p.declare(cfg, i, c, func() (*Result, bool) { return run(i, cfg) })
+	}
+	p.chains = append(p.chains, c)
+	return c
+}
+
+// Knee is a declared MaxRateUnder search.
+type Knee struct {
+	rates []float64
+	chain *Chain
+}
+
+// Rate returns the search's answer once Plan.Run has returned: the
+// highest rate before the first violation, 0 if even the lowest
+// violates — cluster.MaxRateUnder's value for the same grid and seed.
+func (k *Knee) Rate() float64 {
+	if k.chain.Passed == 0 {
+		return 0
+	}
+	return k.rates[k.chain.Passed-1]
+}
+
+// MaxRateUnder declares a knee search as a chain over the ascending
+// rate grid, seeded as Sweep seeds it.
+func (p *Plan) MaxRateUnder(mf MachineFactory, w *workload.Workload, rates []float64, dur, warm sim.Time, seed uint64, ok func(*Result) bool) *Knee {
+	chain := p.Chain(pointConfigs(w, rates, dur, warm, seed), func(_ int, cfg RunConfig) (*Result, bool) {
+		r := mf().Run(cfg)
+		return r, ok(r)
+	})
+	return &Knee{rates: rates, chain: chain}
+}
+
+// Run executes the plan and returns when every point that had to run
+// has: all independent points, and each chain up to its first violation.
+func (p *Plan) Run() {
+	p.workers = p.opt.Workers
+	if p.workers <= 0 {
+		p.workers = runtime.GOMAXPROCS(0)
+	}
+	if p.workers > p.total {
+		p.workers = p.total
+	}
+	sort.Slice(p.free, func(i, j int) bool { return p.free[i].before(p.free[j]) })
 	var wg sync.WaitGroup
-	var mu sync.Mutex // serializes OnPoint and the done counter
-	done := 0
-	for n := 0; n < workers; n++ {
+	for n := 0; n < p.workers; n++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				cfg := pointConfig(w, rates, i, dur, warm, seed)
-				start := time.Now() //simvet:ignore host wall-clock telemetry for sweep progress, not sim state
-				res := mf().Run(cfg)
-				out[i] = res
-				if opt.OnPoint == nil {
-					continue
-				}
-				mu.Lock()
-				done++
-				opt.OnPoint(SweepPoint{
-					Index:  i,
-					Rate:   cfg.Rate,
-					Seed:   cfg.Seed,
-					Result: res,
-					//simvet:ignore host wall-clock telemetry for sweep progress, not sim state
-					Wall:  time.Since(start),
-					Done:  done,
-					Total: len(rates),
-				})
-				mu.Unlock()
+			for pt := p.take(); pt != nil; pt = p.take() {
+				p.execute(pt)
 			}
 		}()
 	}
-	for i := range rates {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
-	return out
+}
+
+// take blocks until a point may start and claims it; nil means nothing
+// will ever be startable again and the worker should exit.
+func (p *Plan) take() *planPoint {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for {
+		pt, more := p.claim()
+		if pt != nil || !more {
+			return pt
+		}
+		// Every open chain is waiting on a running point's verdict.
+		p.idle.Wait()
+	}
+}
+
+// claim marks the next point to start as started and returns it: the
+// top-ranked among independent points and chain points whose
+// predecessors have all passed; failing that, the run-ahead point
+// closest to its chain's unanswered one. With nothing startable now,
+// more reports whether a running point's verdict could still open one.
+func (p *Plan) claim() (best *planPoint, more bool) {
+	if p.cursor < len(p.free) {
+		best = p.free[p.cursor]
+	}
+	for _, c := range p.chains {
+		if c.open() && c.next == c.Passed {
+			if pt := c.points[c.next]; best == nil || pt.before(best) {
+				best = pt
+			}
+		}
+	}
+	if best == nil {
+		lead := 0
+		for _, c := range p.chains {
+			if !c.open() {
+				continue
+			}
+			more = true
+			ahead := c.next - c.Passed
+			if ahead >= p.workers {
+				continue
+			}
+			if pt := c.points[c.next]; best == nil || ahead < lead || (ahead == lead && pt.before(best)) {
+				best, lead = pt, ahead
+			}
+		}
+	}
+	if best != nil {
+		if best.chain == nil {
+			p.cursor++
+		} else {
+			best.chain.next++
+		}
+	}
+	return best, more
+}
+
+// execute runs one claimed point, settles its chain and reports it.
+func (p *Plan) execute(pt *planPoint) {
+	start := time.Now() //simvet:ignore host wall-clock telemetry for sweep progress, not sim state
+	res, pass := pt.run()
+	// Read the clock before queueing for either lock: a point's wall time
+	// must not include waiting out another worker's OnPoint callback.
+	wall := time.Since(start) //simvet:ignore host wall-clock telemetry for sweep progress, not sim state
+	if c := pt.chain; c != nil {
+		p.mu.Lock()
+		c.settle(pt.index, pass)
+		p.mu.Unlock()
+		p.idle.Broadcast()
+	}
+	if p.opt.OnPoint == nil {
+		return
+	}
+	p.report.Lock()
+	defer p.report.Unlock()
+	p.done++
+	p.opt.OnPoint(SweepPoint{
+		Index:  pt.index,
+		Rate:   pt.cfg.Rate,
+		Seed:   pt.cfg.Seed,
+		Result: res,
+		Wall:   wall,
+		Done:   p.done,
+		Total:  p.total,
+	})
+}
+
+// ParallelSweep is Sweep on a worker pool: a one-curve Plan. Each point
+// gets a fresh Machine from the factory and its own derived seed, which
+// makes the returned series — in rate order — identical to Sweep's for
+// any worker count, including Workers=1.
+func ParallelSweep(mf MachineFactory, w *workload.Workload, rates []float64, dur, warm sim.Time, seed uint64, opt SweepOptions) []*Result {
+	p := NewPlan(opt)
+	c := p.Sweep(mf, w, rates, dur, warm, seed)
+	p.Run()
+	return c.Results
 }
 
 // LatencySeries extracts a (rate, p99.9 end-to-end µs) curve for one
@@ -230,30 +476,13 @@ func DropRateSeries(label string, results []*Result) stats.Series {
 // MaxRateUnder scans rates in ascending order and returns the highest
 // rate whose result satisfies ok, stopping at the first violation
 // (latency-vs-load curves are monotone once they knee). Returns 0 if
-// even the lowest rate violates. Points are seeded as in Sweep, so
-// SpeculativeMaxRateUnder over the same grid finds the same knee.
+// even the lowest rate violates. It is the sequential reference for
+// Plan.MaxRateUnder, which seeds its points identically and so finds the
+// same knee.
 func MaxRateUnder(m Machine, w *workload.Workload, rates []float64, dur, warm sim.Time, seed uint64, ok func(*Result) bool) float64 {
 	best := 0.0
 	for i := range rates {
 		r := m.Run(pointConfig(w, rates, i, dur, warm, seed))
-		if !ok(r) {
-			break
-		}
-		best = rates[i]
-	}
-	return best
-}
-
-// SpeculativeMaxRateUnder is the parallel variant of MaxRateUnder: it
-// speculatively runs the whole grid concurrently, then scans ascending
-// for the first violation. It wastes the points beyond the knee but
-// turns the knee search's wall-clock from sum-of-points into
-// max-of-points, which wins whenever cores outnumber the wasted tail.
-// The returned rate equals MaxRateUnder's for the same grid and seed.
-func SpeculativeMaxRateUnder(mf MachineFactory, w *workload.Workload, rates []float64, dur, warm sim.Time, seed uint64, ok func(*Result) bool, opt SweepOptions) float64 {
-	results := ParallelSweep(mf, w, rates, dur, warm, seed, opt)
-	best := 0.0
-	for i, r := range results {
 		if !ok(r) {
 			break
 		}

@@ -3,11 +3,17 @@
 // that the cmd tools print, the root benchmark suite reports, and
 // EXPERIMENTS.md records. Drivers take a Scale so tests can run cheap
 // versions of the same code paths the full harness uses.
+//
+// Every driver that runs machine models has the same three steps:
+// declare all of the figure's curves and knee searches against one
+// figure (a cluster.Plan at the scale's settings), run the plan once —
+// one worker pool for the whole figure, costliest point first — then
+// assemble series from the finished handles. No machine model runs
+// outside a plan.
 package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/cachesim"
 	"repro/internal/cluster"
@@ -32,10 +38,11 @@ type Scale struct {
 	// its own seed from (Seed, pointIndex), so results do not depend on
 	// how many workers run the sweep.
 	Seed uint64
-	// Workers bounds sweep parallelism: 0 uses GOMAXPROCS, 1 forces the
-	// sequential path, higher values size the worker pool explicitly.
+	// Workers bounds each figure's worker pool: 0 uses GOMAXPROCS, 1 runs
+	// the figure's simulations one at a time, higher values size the pool
+	// explicitly.
 	Workers int
-	// Progress, when non-nil, observes every completed sweep point
+	// Progress, when non-nil, observes every completed simulation
 	// (serialized, in completion order) — the cmd tools print these so
 	// long Full runs are observable.
 	Progress func(cluster.SweepPoint)
@@ -58,19 +65,6 @@ type Scale struct {
 	Tenants []workload.Tenant
 }
 
-// opts translates the scale into sweep-runner options.
-func (sc Scale) opts() cluster.SweepOptions {
-	return cluster.SweepOptions{Workers: sc.Workers, OnPoint: sc.Progress}
-}
-
-// effectiveWorkers resolves Workers the way the sweep runner will.
-func (sc Scale) effectiveWorkers() int {
-	if sc.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return sc.Workers
-}
-
 // withOverrides applies the scale's workload-plane overrides — SLO
 // targets, arrival process, tenant split — to every machine the
 // factory builds; a no-op when none are set, so default figures stay
@@ -87,22 +81,68 @@ func (sc Scale) withOverrides(mf cluster.MachineFactory) cluster.MachineFactory 
 	return mf
 }
 
-// sweep runs one load sweep at the scale's parallelism, one fresh
-// machine per point.
-func (sc Scale) sweep(mf cluster.MachineFactory, w *workload.Workload, rates []float64) []*cluster.Result {
-	return cluster.ParallelSweep(sc.withOverrides(mf), w, rates, sc.Duration, sc.Warmup, sc.Seed, sc.opts())
+// figure is one driver's declare-run-assemble scope: every curve and
+// knee search declared against it runs on the one pool of its Plan.
+type figure struct {
+	sc   Scale
+	plan *cluster.Plan
 }
 
-// maxRateUnder finds the highest rate satisfying ok. With one worker it
-// uses the sequential scan (which stops at the knee and wastes no
-// points); with more it speculatively runs the whole grid in parallel.
-// Both return the same rate for the same grid and seed.
-func (sc Scale) maxRateUnder(mf cluster.MachineFactory, w *workload.Workload, rates []float64, ok func(*cluster.Result) bool) float64 {
-	mf = sc.withOverrides(mf)
-	if sc.effectiveWorkers() == 1 {
-		return cluster.MaxRateUnder(mf(), w, rates, sc.Duration, sc.Warmup, sc.Seed, ok)
+// figure opens a scope at the scale's parallelism and progress hook.
+func (sc Scale) figure() *figure {
+	return &figure{sc, cluster.NewPlan(cluster.SweepOptions{Workers: sc.Workers, OnPoint: sc.Progress})}
+}
+
+// sweep declares one load sweep, one fresh machine per point.
+func (f *figure) sweep(mf cluster.MachineFactory, w *workload.Workload, rates []float64) *cluster.Curve {
+	return f.plan.Sweep(f.sc.withOverrides(mf), w, rates, f.sc.Duration, f.sc.Warmup, f.sc.Seed)
+}
+
+// maxRateUnder declares a search for the highest rate satisfying ok: a
+// chain that stops at the knee.
+func (f *figure) maxRateUnder(mf cluster.MachineFactory, w *workload.Workload, rates []float64, ok func(*cluster.Result) bool) *cluster.Knee {
+	return f.plan.MaxRateUnder(f.sc.withOverrides(mf), w, rates, f.sc.Duration, f.sc.Warmup, f.sc.Seed, ok)
+}
+
+// system is one curve of a figure: a display label plus a per-point
+// machine factory.
+type system struct {
+	label string
+	mf    cluster.MachineFactory
+}
+
+// named labels a factory's curve with its machine's Name.
+func named(mf cluster.MachineFactory) system { return system{label: mf().Name(), mf: mf} }
+
+// sweepSystems declares one sweep per system over a shared grid.
+func (f *figure) sweepSystems(w *workload.Workload, rates []float64, systems []system) []*cluster.Curve {
+	curves := make([]*cluster.Curve, len(systems))
+	for i, s := range systems {
+		curves[i] = f.sweep(s.mf, w, rates)
 	}
-	return cluster.SpeculativeMaxRateUnder(mf, w, rates, sc.Duration, sc.Warmup, sc.Seed, ok, sc.opts())
+	return curves
+}
+
+// classSeries is the shape of cluster's per-class curve extractors
+// (SlowdownSeries, SojournSeries, LatencySeries, ...).
+type classSeries func(label, class string, results []*cluster.Result) stats.Series
+
+// readSeries extracts one series per system from finished curves.
+func readSeries(systems []system, curves []*cluster.Curve, extract classSeries, class string) []stats.Series {
+	out := make([]stats.Series, len(systems))
+	for i, s := range systems {
+		out[i] = extract(s.label, class, curves[i].Results)
+	}
+	return out
+}
+
+// sweepSeries is the whole of a one-workload, one-read-out figure: one
+// sweep per system on one pool, one series per system.
+func (sc Scale) sweepSeries(w *workload.Workload, rates []float64, systems []system, extract classSeries, class string) []stats.Series {
+	f := sc.figure()
+	curves := f.sweepSystems(w, rates, systems)
+	f.plan.Run()
+	return readSeries(systems, curves, extract, class)
 }
 
 // Quick is the scale used by tests and the root benchmarks: small but
@@ -131,14 +171,13 @@ var Full = Scale{
 func Fig1(sc Scale) []stats.Series {
 	w := workload.Section2Bimodal()
 	rates := cluster.RatesUpTo(0.92*w.MaxLoad(16), sc.Points)
-	var out []stats.Series
+	var systems []system
 	for _, qUs := range []float64{0.5, 1, 2, 5, 10} {
-		results := sc.sweep(func() cluster.Machine {
+		systems = append(systems, system{fmt.Sprintf("q=%gus", qUs), func() cluster.Machine {
 			return cluster.NewCentralizedPS(16, sim.Micros(qUs), 0)
-		}, w, rates)
-		out = append(out, cluster.SlowdownSeries(fmt.Sprintf("q=%gus", qUs), "", results))
+		}})
 	}
-	return out
+	return sc.sweepSeries(w, rates, systems, cluster.SlowdownSeries, "")
 }
 
 // Fig2 reproduces Figure 2: the maximum rate sustaining p99.9 slowdown
@@ -148,14 +187,22 @@ func Fig2(sc Scale) []stats.Series {
 	w := workload.Section2Bimodal()
 	rates := cluster.RatesUpTo(w.MaxLoad(16), 2*sc.Points)
 	quanta := []float64{0.5, 1, 2, 3, 5, 10}
-	var out []stats.Series
-	for _, ovUs := range []float64{0, 0.1, 1} {
-		s := stats.Series{Label: fmt.Sprintf("overhead=%gus", ovUs)}
+	overheads := []float64{0, 0.1, 1}
+	f := sc.figure()
+	knees := make([][]*cluster.Knee, len(overheads))
+	for i, ovUs := range overheads {
 		for _, qUs := range quanta {
-			best := sc.maxRateUnder(func() cluster.Machine {
+			knees[i] = append(knees[i], f.maxRateUnder(func() cluster.Machine {
 				return cluster.NewCentralizedPS(16, sim.Micros(qUs), sim.Micros(ovUs))
-			}, w, rates, func(r *cluster.Result) bool { return r.P999Slowdown("") <= 10 })
-			s.Append(qUs, best)
+			}, w, rates, func(r *cluster.Result) bool { return r.P999Slowdown("") <= 10 }))
+		}
+	}
+	f.plan.Run()
+	var out []stats.Series
+	for i, ovUs := range overheads {
+		s := stats.Series{Label: fmt.Sprintf("overhead=%gus", ovUs)}
+		for j, qUs := range quanta {
+			s.Append(qUs, knees[i][j].Rate())
 		}
 		out = append(out, s)
 	}
@@ -169,36 +216,46 @@ func Fig4(sc Scale) []stats.Series {
 	w := workload.Section2Bimodal()
 	q := sim.Micros(1)
 	rates := cluster.RatesUpTo(0.9*w.MaxLoad(16), sc.Points)
-	var out []stats.Series
+	var systems []system
 	for _, name := range []string{"ct-ps", "tls-jsq-msq", "tls-jsq-rand"} {
 		e := cluster.MustLookup(name)
-		mf := func() cluster.Machine { return e.NewQ(q) }
-		results := sc.sweep(mf, w, rates)
-		out = append(out, cluster.SlowdownSeries(mf().Name(), "Long", results))
+		systems = append(systems, named(func() cluster.Machine { return e.NewQ(q) }))
 	}
-	return out
+	return sc.sweepSeries(w, rates, systems, cluster.SlowdownSeries, "Long")
 }
 
 // Fig5 reproduces Figure 5: TQ's short-job p99.9 sojourn time vs rate
 // on Extreme Bimodal, for quanta 0.5-10µs. Fig6 is the long-job view.
-func Fig5(sc Scale) []stats.Series { return tqQuantumSweep(sc, "Short") }
+func Fig5(sc Scale) []stats.Series {
+	short, _ := Fig5And6(sc)
+	return short
+}
 
 // Fig6 reproduces Figure 6 (see Fig5).
-func Fig6(sc Scale) []stats.Series { return tqQuantumSweep(sc, "Long") }
+func Fig6(sc Scale) []stats.Series {
+	_, long := Fig5And6(sc)
+	return long
+}
 
-func tqQuantumSweep(sc Scale, class string) []stats.Series {
+// Fig5And6 returns both figures from the one sweep they share: they
+// differ only in the class read out, so a caller wanting both (tqsim
+// -fig all) simulates it once.
+func Fig5And6(sc Scale) (short, long []stats.Series) {
 	w := workload.ExtremeBimodal()
 	rates := cluster.RatesUpTo(0.95*w.MaxLoad(16), sc.Points)
-	var out []stats.Series
+	var systems []system
 	for _, qUs := range []float64{0.5, 1, 2, 5, 10} {
-		results := sc.sweep(func() cluster.Machine {
+		systems = append(systems, system{fmt.Sprintf("q=%gus", qUs), func() cluster.Machine {
 			p := cluster.NewTQParams()
 			p.Quantum = sim.Micros(qUs)
 			return cluster.NewTQ(p)
-		}, w, rates)
-		out = append(out, cluster.SojournSeries(fmt.Sprintf("q=%gus", qUs), class, results))
+		}})
 	}
-	return out
+	f := sc.figure()
+	curves := f.sweepSystems(w, rates, systems)
+	f.plan.Run()
+	return readSeries(systems, curves, cluster.SojournSeries, "Short"),
+		readSeries(systems, curves, cluster.SojournSeries, "Long")
 }
 
 // SystemComparison holds one cross-system figure: per class, one
@@ -229,13 +286,6 @@ type SystemComparison struct {
 	PerTenant map[string][]stats.Series
 }
 
-// system is one column of a cross-system comparison: a display label
-// plus a per-point machine factory.
-type system struct {
-	label string
-	mf    cluster.MachineFactory
-}
-
 // registrySystem resolves a registry name into a comparison column,
 // labelled with the given name. A positive quantum parameterizes the
 // machine through its Entry.NewQ constructor (machines without a
@@ -249,18 +299,29 @@ func registrySystem(label, name string, q sim.Time) system {
 	return system{label: label, mf: mf}
 }
 
-// compareSystems sweeps TQ, Shinjuku (at its per-workload quantum) and
-// Caladan (better of its two modes per §5.1, judged on the figure's
-// first class) over the workload. TQ and Shinjuku come from the
-// registry; Caladan keeps its class-judged factory because the
+// compareSystems declares sweeps of TQ, Shinjuku (at its per-workload
+// quantum) and Caladan (better of its two modes per §5.1, judged on the
+// figure's first class) over the workload. TQ and Shinjuku come from
+// the registry; Caladan keeps its class-judged factory because the
 // registry default judges by throughput.
-func compareSystems(sc Scale, w *workload.Workload, shinjukuQ sim.Time, classes []string, slowdown bool) SystemComparison {
+func (f *figure) compareSystems(w *workload.Workload, shinjukuQ sim.Time, classes []string, slowdown bool) func() SystemComparison {
 	systems := []system{
 		registrySystem("TQ", "tq", 0),
 		registrySystem("Shinjuku", "shinjuku", shinjukuQ),
 		{label: "Caladan", mf: func() cluster.Machine { return cluster.NewBestCaladan(classes[0]) }},
 	}
-	return compareMachines(sc, w, classes, slowdown, false, systems)
+	return f.compareMachines(w, classes, slowdown, false, systems)
+}
+
+// comparisons runs several declared comparisons on the figure's one
+// pool and assembles them in order.
+func (f *figure) comparisons(pending ...func() SystemComparison) []SystemComparison {
+	f.plan.Run()
+	out := make([]SystemComparison, len(pending))
+	for i, assemble := range pending {
+		out[i] = assemble()
+	}
+	return out
 }
 
 // CompareMachines sweeps registry machines (default parameters, display
@@ -295,63 +356,64 @@ func CompareMachinesD(sc Scale, w *workload.Workload, classes []string, discipli
 			d := discipline
 			mf = func() cluster.Machine { return e.NewD(d) }
 		}
-		systems = append(systems, system{label: mf().Name(), mf: mf})
+		systems = append(systems, named(mf))
 	}
-	return compareMachines(sc, w, classes, false, true, systems)
+	f := sc.figure()
+	return f.comparisons(f.compareMachines(w, classes, false, true, systems))[0]
 }
 
-// compareMachines runs one sweep per system and assembles the figure's
-// latency, slowdown, goodput, and drop-rate curves. With withGap it
-// additionally sweeps the clairvoyant oracle-srpt baseline over the
-// same rates and fills OptimalityGap; the paper-figure drivers pass
-// false so Figures 7-10 stay byte-identical to the pre-oracle harness.
-func compareMachines(sc Scale, w *workload.Workload, classes []string, slowdown, withGap bool, systems []system) SystemComparison {
-	rates := cluster.RatesUpTo(0.98*w.MaxLoad(16), sc.Points)
-	cmp := SystemComparison{Workload: w.Name, PerClass: map[string][]stats.Series{}}
-
-	results := make([][]*cluster.Result, len(systems))
-	for i, s := range systems {
-		results[i] = sc.sweep(s.mf, w, rates)
-	}
-	for _, class := range classes {
-		for i, s := range systems {
-			cmp.PerClass[class] = append(cmp.PerClass[class], cluster.LatencySeries(s.label, class, results[i]))
-		}
-	}
-	for i, s := range systems {
-		if slowdown {
-			cmp.OverallSlowdown = append(cmp.OverallSlowdown, cluster.SlowdownSeries(s.label, "", results[i]))
-		}
-		cmp.Goodput = append(cmp.Goodput, cluster.GoodputSeries(s.label, results[i]))
-		cmp.DropRate = append(cmp.DropRate, cluster.DropRateSeries(s.label, results[i]))
-	}
+// compareMachines declares one sweep per system and returns the step
+// that, once the figure has run, assembles the latency, slowdown,
+// goodput, and drop-rate curves. With withGap it additionally sweeps
+// the clairvoyant oracle-srpt baseline over the same rates and fills
+// OptimalityGap; the paper-figure drivers pass false so Figures 7-10
+// stay byte-identical to the pre-oracle harness.
+func (f *figure) compareMachines(w *workload.Workload, classes []string, slowdown, withGap bool, systems []system) func() SystemComparison {
+	rates := cluster.RatesUpTo(0.98*w.MaxLoad(16), f.sc.Points)
+	curves := f.sweepSystems(w, rates, systems)
+	var oracle *cluster.Curve
 	if withGap {
-		oracle := sc.sweep(cluster.MustLookup("oracle-srpt").New, w, rates)
-		cmp.OptimalityGap = map[string][]stats.Series{}
+		oracle = f.sweep(cluster.MustLookup("oracle-srpt").New, w, rates)
+	}
+	return func() SystemComparison {
+		cmp := SystemComparison{Workload: w.Name, PerClass: map[string][]stats.Series{}}
 		for _, class := range classes {
-			for i, s := range systems {
-				cmp.OptimalityGap[class] = append(cmp.OptimalityGap[class],
-					gapSeries(s.label, class, results[i], oracle))
-			}
+			cmp.PerClass[class] = readSeries(systems, curves, cluster.LatencySeries, class)
 		}
-	}
-	if len(sc.Tenants) > 0 {
-		cmp.PerTenant = map[string][]stats.Series{}
-		for ti, tn := range sc.Tenants {
-			for i, s := range systems {
-				ser := stats.Series{Label: s.label}
-				for _, r := range results[i] {
-					y := 0.0
-					if ti < len(r.PerTenant) {
-						y = r.PerTenant[ti].Sojourn.P999() / 1e3 // ns → µs
-					}
-					ser.Append(r.Config.Rate, y)
+		if slowdown {
+			cmp.OverallSlowdown = readSeries(systems, curves, cluster.SlowdownSeries, "")
+		}
+		for i, s := range systems {
+			cmp.Goodput = append(cmp.Goodput, cluster.GoodputSeries(s.label, curves[i].Results))
+			cmp.DropRate = append(cmp.DropRate, cluster.DropRateSeries(s.label, curves[i].Results))
+		}
+		if withGap {
+			cmp.OptimalityGap = map[string][]stats.Series{}
+			for _, class := range classes {
+				for i, s := range systems {
+					cmp.OptimalityGap[class] = append(cmp.OptimalityGap[class],
+						gapSeries(s.label, class, curves[i].Results, oracle.Results))
 				}
-				cmp.PerTenant[tn.Name] = append(cmp.PerTenant[tn.Name], ser)
 			}
 		}
+		if len(f.sc.Tenants) > 0 {
+			cmp.PerTenant = map[string][]stats.Series{}
+			for ti, tn := range f.sc.Tenants {
+				for i, s := range systems {
+					ser := stats.Series{Label: s.label}
+					for _, r := range curves[i].Results {
+						y := 0.0
+						if ti < len(r.PerTenant) {
+							y = r.PerTenant[ti].Sojourn.P999() / 1e3 // ns → µs
+						}
+						ser.Append(r.Config.Rate, y)
+					}
+					cmp.PerTenant[tn.Name] = append(cmp.PerTenant[tn.Name], ser)
+				}
+			}
+		}
+		return cmp
 	}
-	return cmp
 }
 
 // gapSeries divides a system's p99 sojourn curve by the oracle's,
@@ -392,13 +454,18 @@ type GapRow struct {
 // exactly 1.
 func OptimalityGapTable(sc Scale, w *workload.Workload, class string, names ...string) []GapRow {
 	rates := []float64{0.55 * w.MaxLoad(16), 0.9 * w.MaxLoad(16)}
-	oracle := sc.sweep(cluster.MustLookup("oracle-srpt").New, w, rates)
-	rows := make([]GapRow, 0, len(names))
-	for _, n := range names {
-		e := cluster.MustLookup(n)
-		res := sc.sweep(e.New, w, rates)
-		g := gapSeries(n, class, res, oracle)
-		rows = append(rows, GapRow{Name: n, Display: e.New().Name(), Mid: g.Y[0], Over: g.Y[1]})
+	f := sc.figure()
+	oracle := f.sweep(cluster.MustLookup("oracle-srpt").New, w, rates)
+	systems := make([]system, len(names))
+	for i, n := range names {
+		systems[i] = named(cluster.MustLookup(n).New)
+	}
+	curves := f.sweepSystems(w, rates, systems)
+	f.plan.Run()
+	rows := make([]GapRow, len(names))
+	for i, n := range names {
+		g := gapSeries(n, class, curves[i].Results, oracle.Results)
+		rows[i] = GapRow{Name: n, Display: systems[i].label, Mid: g.Y[0], Over: g.Y[1]}
 	}
 	return rows
 }
@@ -407,31 +474,35 @@ func OptimalityGapTable(sc Scale, w *workload.Workload, class string, names ...s
 // High Bimodal (Shinjuku at its 5µs sweet spot), short and long
 // classes.
 func Fig7(sc Scale) []SystemComparison {
-	return []SystemComparison{
-		compareSystems(sc, workload.ExtremeBimodal(), sim.Micros(5), []string{"Short", "Long"}, false),
-		compareSystems(sc, workload.HighBimodal(), sim.Micros(5), []string{"Short", "Long"}, false),
-	}
+	f := sc.figure()
+	return f.comparisons(
+		f.compareSystems(workload.ExtremeBimodal(), sim.Micros(5), []string{"Short", "Long"}, false),
+		f.compareSystems(workload.HighBimodal(), sim.Micros(5), []string{"Short", "Long"}, false),
+	)
 }
 
 // Fig8 reproduces Figure 8: TPC-C with Shinjuku at 10µs, per-class
 // tails for the shortest and longest transactions plus the overall
 // slowdown.
 func Fig8(sc Scale) SystemComparison {
-	return compareSystems(sc, workload.TPCC(), sim.Micros(10), []string{"Payment", "StockLevel"}, true)
+	f := sc.figure()
+	return f.comparisons(f.compareSystems(workload.TPCC(), sim.Micros(10), []string{"Payment", "StockLevel"}, true))[0]
 }
 
 // Fig9 reproduces Figure 9: Exp(1) with Shinjuku at 10µs.
 func Fig9(sc Scale) SystemComparison {
-	return compareSystems(sc, workload.Exp1(), sim.Micros(10), []string{"Exp"}, false)
+	f := sc.figure()
+	return f.comparisons(f.compareSystems(workload.Exp1(), sim.Micros(10), []string{"Exp"}, false))[0]
 }
 
 // Fig10 reproduces Figure 10: RocksDB at 0.5% and 50% SCAN with
 // Shinjuku at 15µs.
 func Fig10(sc Scale) []SystemComparison {
-	return []SystemComparison{
-		compareSystems(sc, workload.RocksDB(0.005), sim.Micros(15), []string{"GET", "SCAN"}, false),
-		compareSystems(sc, workload.RocksDB(0.5), sim.Micros(15), []string{"GET", "SCAN"}, false),
-	}
+	f := sc.figure()
+	return f.comparisons(
+		f.compareSystems(workload.RocksDB(0.005), sim.Micros(15), []string{"GET", "SCAN"}, false),
+		f.compareSystems(workload.RocksDB(0.5), sim.Micros(15), []string{"GET", "SCAN"}, false),
+	)
 }
 
 // Fig11 reproduces Figure 11: TQ vs its forced-multitasking ablations
@@ -456,15 +527,14 @@ func Fig12(sc Scale) []stats.Series {
 	})
 }
 
-func tqVariantSweep(sc Scale, systems []func() *cluster.TQ) []stats.Series {
+func tqVariantSweep(sc Scale, variants []func() *cluster.TQ) []stats.Series {
 	w := workload.RocksDB(0.005)
 	rates := cluster.RatesUpTo(0.95*w.MaxLoad(16), sc.Points)
-	var out []stats.Series
-	for _, mk := range systems {
-		results := sc.sweep(func() cluster.Machine { return mk() }, w, rates)
-		out = append(out, cluster.SojournSeries(mk().Name(), "GET", results))
+	var systems []system
+	for _, mk := range variants {
+		systems = append(systems, named(func() cluster.Machine { return mk() }))
 	}
-	return out
+	return sc.sweepSeries(w, rates, systems, cluster.SojournSeries, "GET")
 }
 
 // Fig13 reproduces Figure 13: TLS pointer-chase access latency vs
@@ -599,47 +669,61 @@ func Fig15(keys, gets, scans int, seed uint64) Fig15Result {
 func Fig16(sc Scale) []stats.Series {
 	w := workload.Fixed("long", sim.Millisecond)
 	quanta := []float64{0.5, 1, 2, 3, 5}
-	maxCores := 16
+	const maxCores = 16
 
-	measure := func(qUs float64, cores int, shinjuku bool) (avg float64, n int) {
-		cfg := cluster.RunConfig{
+	// Point i of every scan runs i+1 cores at 60% load.
+	cfgs := make([]cluster.RunConfig, maxCores)
+	for i := range cfgs {
+		cfgs[i] = cluster.RunConfig{
 			Workload: w,
-			Rate:     0.6 * w.MaxLoad(cores),
+			Rate:     0.6 * w.MaxLoad(i+1),
 			Duration: sc.Duration,
 			Warmup:   sc.Warmup,
 			Seed:     sc.Seed,
 		}
-		var achieved stats.RunningMean
-		if shinjuku {
-			p := cluster.NewShinjukuParams(sim.Micros(qUs))
+	}
+	// measured runs cores workers at quantum q and reports the quantum
+	// actually achieved.
+	type measured func(q sim.Time, cores int, cfg cluster.RunConfig) (*cluster.Result, stats.RunningMean)
+	systems := []struct {
+		label string
+		run   measured
+	}{
+		{"Shinjuku", func(q sim.Time, cores int, cfg cluster.RunConfig) (*cluster.Result, stats.RunningMean) {
+			p := cluster.NewShinjukuParams(q)
 			p.Workers = cores
-			_, achieved = cluster.NewShinjuku(p).RunMeasured(cfg)
-		} else {
+			return cluster.NewShinjuku(p).RunMeasured(cfg)
+		}},
+		{"TQ", func(q sim.Time, cores int, cfg cluster.RunConfig) (*cluster.Result, stats.RunningMean) {
 			p := cluster.NewTQParams()
-			p.Quantum = sim.Micros(qUs)
+			p.Quantum = q
 			p.Workers = cores
-			_, achieved = cluster.NewTQ(p).RunMeasured(cfg)
-		}
-		return achieved.Mean(), achieved.Len()
+			return cluster.NewTQ(p).RunMeasured(cfg)
+		}},
 	}
 
-	series := func(label string, shinjuku bool) stats.Series {
-		s := stats.Series{Label: label}
+	// One chain per (system, quantum): core counts ascend until the
+	// achieved quantum first leaves the 10% band.
+	f := sc.figure()
+	scans := make([][]*cluster.Chain, len(systems))
+	for si, sys := range systems {
 		for _, qUs := range quanta {
-			target := float64(sim.Micros(qUs))
-			best := 0
-			for cores := 1; cores <= maxCores; cores++ {
-				avg, n := measure(qUs, cores, shinjuku)
-				if n == 0 || avg > 1.1*target {
-					break
-				}
-				best = cores
-			}
-			s.Append(qUs, float64(best))
+			q := sim.Micros(qUs)
+			scans[si] = append(scans[si], f.plan.Chain(cfgs, func(i int, cfg cluster.RunConfig) (*cluster.Result, bool) {
+				res, achieved := sys.run(q, i+1, cfg)
+				return res, !(achieved.Len() == 0 || achieved.Mean() > 1.1*float64(q))
+			}))
 		}
-		return s
 	}
-	return []stats.Series{series("Shinjuku", true), series("TQ", false)}
+	f.plan.Run()
+	out := make([]stats.Series, len(systems))
+	for si, sys := range systems {
+		out[si].Label = sys.label
+		for qi, qUs := range quanta {
+			out[si].Append(qUs, float64(scans[si][qi].Passed))
+		}
+	}
+	return out
 }
 
 // DispatcherThroughput reproduces the §6 observation: the TQ
@@ -660,9 +744,15 @@ func DispatcherThroughput(sc Scale, rate float64) map[string]float64 {
 	tp.Coroutines = 16
 	sp := cluster.NewShinjukuParams(sim.Micros(5))
 	sp.Workers = 64
+	machines := []cluster.Machine{cluster.NewTQ(tp), cluster.NewShinjuku(sp)}
+	f := sc.figure()
+	runs := f.plan.Points([]cluster.RunConfig{cfg, cfg}, func(i int, cfg cluster.RunConfig) *cluster.Result {
+		return machines[i].Run(cfg)
+	})
+	f.plan.Run()
 	return map[string]float64{
-		"TQ":       cluster.NewTQ(tp).Run(cfg).Throughput,
-		"Shinjuku": cluster.NewShinjuku(sp).Run(cfg).Throughput,
+		"TQ":       runs.Results[0].Throughput,
+		"Shinjuku": runs.Results[1].Throughput,
 	}
 }
 
@@ -679,13 +769,11 @@ func Table3(sc Scale) []instrument.Table3Row {
 func ExtensionComparison(sc Scale) []stats.Series {
 	w := workload.ExtremeBimodal()
 	rates := cluster.RatesUpTo(0.95*w.MaxLoad(16), sc.Points)
-	var out []stats.Series
+	var systems []system
 	for _, name := range []string{"tq", "tq-las", "concord", "libpreemptible"} {
-		mf := cluster.MustLookup(name).New
-		results := sc.sweep(mf, w, rates)
-		out = append(out, cluster.SojournSeries(mf().Name(), "Short", results))
+		systems = append(systems, named(cluster.MustLookup(name).New))
 	}
-	return out
+	return sc.sweepSeries(w, rates, systems, cluster.SojournSeries, "Short")
 }
 
 // MultiDispatcherScaling measures sustained throughput on tiny jobs
@@ -693,20 +781,29 @@ func ExtensionComparison(sc Scale) []stats.Series {
 // scale-out discussion made concrete.
 func MultiDispatcherScaling(sc Scale, offered float64) []float64 {
 	w := workload.Fixed("tiny", 100*sim.Nanosecond)
-	var out []float64
-	for _, d := range []int{1, 2, 4} {
-		p := cluster.NewTQParams()
-		p.Workers = 64
-		p.Coroutines = 16
-		p.Dispatchers = d
-		res := cluster.NewTQ(p).Run(cluster.RunConfig{
+	dispatchers := []int{1, 2, 4}
+	cfgs := make([]cluster.RunConfig, len(dispatchers))
+	for i := range cfgs {
+		cfgs[i] = cluster.RunConfig{
 			Workload: w,
 			Rate:     offered,
 			Duration: sc.Duration,
 			Warmup:   sc.Warmup,
 			Seed:     sc.Seed,
-		})
-		out = append(out, res.Throughput)
+		}
+	}
+	f := sc.figure()
+	runs := f.plan.Points(cfgs, func(i int, cfg cluster.RunConfig) *cluster.Result {
+		p := cluster.NewTQParams()
+		p.Workers = 64
+		p.Coroutines = 16
+		p.Dispatchers = dispatchers[i]
+		return cluster.NewTQ(p).Run(cfg)
+	})
+	f.plan.Run()
+	out := make([]float64, len(dispatchers))
+	for i, r := range runs.Results {
+		out[i] = r.Throughput
 	}
 	return out
 }
@@ -718,14 +815,19 @@ func MultiDispatcherScaling(sc Scale, offered float64) []float64 {
 func CoroutineCountAblation(sc Scale, counts []int) []float64 {
 	w := workload.RocksDB(0.005)
 	rates := cluster.RatesUpTo(0.95*w.MaxLoad(16), sc.Points)
-	out := make([]float64, 0, len(counts))
-	for _, coros := range counts {
-		best := sc.maxRateUnder(func() cluster.Machine {
+	f := sc.figure()
+	knees := make([]*cluster.Knee, len(counts))
+	for i, coros := range counts {
+		knees[i] = f.maxRateUnder(func() cluster.Machine {
 			p := cluster.NewTQParams()
 			p.Coroutines = coros
 			return cluster.NewTQ(p)
 		}, w, rates, func(r *cluster.Result) bool { return r.P999SojournUs("GET") <= 50 })
-		out = append(out, best)
+	}
+	f.plan.Run()
+	out := make([]float64, len(counts))
+	for i, k := range knees {
+		out[i] = k.Rate()
 	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/instrument"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -148,7 +149,7 @@ func TestSeedSensitivityPreservesWinnerOrdering(t *testing.T) {
 	sc.Points = 6
 	for _, seed := range []uint64{1, 99} {
 		sc.Seed = seed
-		cmp := compareSystems(sc, workload.ExtremeBimodal(), sim.Micros(5), []string{"Short"}, false)
+		cmp := compareOne(sc, workload.ExtremeBimodal(), sim.Micros(5), []string{"Short"})
 		curves := cmp.PerClass["Short"]
 		tq := maxUnderSLOXY(curves[0].X, curves[0].Y, 50)
 		sj := maxUnderSLOXY(curves[1].X, curves[1].Y, 50)
@@ -161,19 +162,50 @@ func TestSeedSensitivityPreservesWinnerOrdering(t *testing.T) {
 }
 
 func TestScaleWorkersSequentialAndParallelAgree(t *testing.T) {
-	// A figure driver must return identical curves whether its sweeps run
-	// on one worker or several.
-	seq, par := tiny, tiny
-	seq.Workers = 1
-	par.Workers = 4
-	a, b := Fig1(seq), Fig1(par)
-	if len(a) != len(b) {
-		t.Fatalf("curve counts differ: %d vs %d", len(a), len(b))
+	// A figure must come out identical — every series value, and so every
+	// printed line — whether its pool has one worker or several: curve
+	// figures (Fig 1; Fig 7's two workloads sharing a pool), knee chains
+	// (Fig 2, the coroutine ablation), core-count chains (Fig 16) and the
+	// one-off runs (§6 dispatchers) alike.
+	sc := tiny
+	sc.Duration, sc.Warmup, sc.Points = 8*sim.Millisecond, sim.Millisecond, 4
+	figures := []struct {
+		name string
+		run  func(Scale) any
+	}{
+		{"Fig1", func(sc Scale) any { return Fig1(sc) }},
+		{"Fig2", func(sc Scale) any { return Fig2(sc) }},
+		{"Fig5And6", func(sc Scale) any { short, long := Fig5And6(sc); return [][]stats.Series{short, long} }},
+		{"Fig7", func(sc Scale) any { return Fig7(sc) }},
+		{"Fig16", func(sc Scale) any { return Fig16(sc) }},
+		{"DispatcherThroughput", func(sc Scale) any { return DispatcherThroughput(sc, 8e6) }},
+		{"MultiDispatcherScaling", func(sc Scale) any { return MultiDispatcherScaling(sc, 40e6) }},
+		{"CoroutineCountAblation", func(sc Scale) any { return CoroutineCountAblation(sc, []int{2, 8}) }},
 	}
-	for i := range a {
-		if !reflect.DeepEqual(a[i], b[i]) {
-			t.Fatalf("curve %d differs between workers=1 and workers=4:\n%v\n%v", i, a[i], b[i])
+	for _, fig := range figures {
+		sc.Workers = 1
+		want := fig.run(sc)
+		for _, workers := range []int{2, 3, 8} {
+			sc.Workers = workers
+			got := fig.run(sc)
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s differs between workers=1 and workers=%d:\n%v\n%v", fig.name, workers, want, got)
+			}
 		}
+	}
+}
+
+// TestFig5And6ShareOneSweep: the pair read from one sweep must be the
+// two figures as each computes alone.
+func TestFig5And6ShareOneSweep(t *testing.T) {
+	sc := tiny
+	sc.Duration, sc.Warmup, sc.Points = 8*sim.Millisecond, sim.Millisecond, 3
+	short, long := Fig5And6(sc)
+	if !reflect.DeepEqual(short, Fig5(sc)) || !reflect.DeepEqual(long, Fig6(sc)) {
+		t.Fatal("Fig5And6 does not return Fig5 and Fig6")
+	}
+	if reflect.DeepEqual(short, long) {
+		t.Fatal("short- and long-job read-outs are the same series")
 	}
 }
 
@@ -186,7 +218,7 @@ func TestCompareSystemsOverloadSeries(t *testing.T) {
 	// classifies completions, it never changes the simulation.
 	sc := tiny
 	w := workload.ExtremeBimodal()
-	plain := compareSystems(sc, w, sim.Micros(5), []string{"Short", "Long"}, false)
+	plain := compareOne(sc, w, sim.Micros(5), []string{"Short", "Long"})
 	if len(plain.Goodput) != 3 || len(plain.DropRate) != 3 {
 		t.Fatalf("got %d goodput / %d drop-rate curves, want 3 each",
 			len(plain.Goodput), len(plain.DropRate))
@@ -205,7 +237,7 @@ func TestCompareSystemsOverloadSeries(t *testing.T) {
 
 	strict := sc
 	strict.SLOs = map[string]sim.Time{"*": sim.Micros(20)}
-	slod := compareSystems(strict, w, sim.Micros(5), []string{"Short", "Long"}, false)
+	slod := compareOne(strict, w, sim.Micros(5), []string{"Short", "Long"})
 	last := sc.Points - 1
 	if slod.Goodput[0].Y[last] >= plain.Goodput[0].Y[last] {
 		t.Fatalf("20µs SLO did not lower TQ goodput: %v vs %v",
@@ -214,6 +246,13 @@ func TestCompareSystemsOverloadSeries(t *testing.T) {
 	if !reflect.DeepEqual(slod.PerClass, plain.PerClass) {
 		t.Fatal("setting SLOs changed the latency curves")
 	}
+}
+
+// compareOne is a one-workload cross-system figure, as Figure 9 builds
+// it.
+func compareOne(sc Scale, w *workload.Workload, shinjukuQ sim.Time, classes []string) SystemComparison {
+	f := sc.figure()
+	return f.comparisons(f.compareSystems(w, shinjukuQ, classes, false))[0]
 }
 
 func maxUnderSLOXY(x, y []float64, slo float64) float64 {

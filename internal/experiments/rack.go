@@ -37,9 +37,8 @@ const rackOverloadFactor = 1.25
 
 // CompareRack sweeps routing policies side by side over an N-machine
 // fleet of one registry machine — the driver behind tqsim -rack. Each
-// (policy, rate) point is an independent fleet simulation through the
-// scale's parallel sweep, so curves are identical for any worker
-// count. The grid runs to rackOverloadFactor× the fleet's aggregate
+// (policy, rate) point is an independent fleet simulation on the
+// figure's one pool, so curves are identical for any worker count. The grid runs to rackOverloadFactor× the fleet's aggregate
 // 16-worker saturation so the overload regime — where routing decides
 // tail latency and goodput — is on every curve.
 func CompareRack(sc Scale, w *workload.Workload, n int, machine string, policies []string) RackComparison {
@@ -51,15 +50,21 @@ func CompareRack(sc Scale, w *workload.Workload, n int, machine string, policies
 		P999:     map[string][]stats.Series{},
 	}
 	rates := cluster.RatesUpTo(rackOverloadFactor*w.MaxLoad(16*n), sc.Points)
+	var systems []system
 	for _, v := range rack.Variants(policies, []string{machine}, []int{n}) {
 		fleet := v.Fleet()
-		results := sc.sweep(func() cluster.Machine { return fleet }, w, rates)
-		for _, c := range w.Classes {
-			cmp.P99[c.Name] = append(cmp.P99[c.Name], cluster.P99SojournSeries(v.Policy, c.Name, results))
-			cmp.P999[c.Name] = append(cmp.P999[c.Name], cluster.SojournSeries(v.Policy, c.Name, results))
-		}
-		cmp.Goodput = append(cmp.Goodput, cluster.GoodputSeries(v.Policy, results))
-		cmp.DropRate = append(cmp.DropRate, cluster.DropRateSeries(v.Policy, results))
+		systems = append(systems, system{v.Policy, func() cluster.Machine { return fleet }})
+	}
+	f := sc.figure()
+	curves := f.sweepSystems(w, rates, systems)
+	f.plan.Run()
+	for _, c := range w.Classes {
+		cmp.P99[c.Name] = readSeries(systems, curves, cluster.P99SojournSeries, c.Name)
+		cmp.P999[c.Name] = readSeries(systems, curves, cluster.SojournSeries, c.Name)
+	}
+	for i, s := range systems {
+		cmp.Goodput = append(cmp.Goodput, cluster.GoodputSeries(s.label, curves[i].Results))
+		cmp.DropRate = append(cmp.DropRate, cluster.DropRateSeries(s.label, curves[i].Results))
 	}
 	return cmp
 }

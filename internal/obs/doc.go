@@ -59,4 +59,11 @@
 //     (ReadChrome), so none of these functions panics on, or sizes an
 //     allocation by, a value — only by the number of events. Summary's
 //     per-core tables stop at core 65535 for the same reason.
+//   - Summarize and Windows keep per-task state — the arrival instant
+//     of every task in the system — in one small open-addressed table,
+//     inflight. A trace inserts and removes each of its tasks once
+//     (millions) but holds only the run's occupancy at a time (tens),
+//     so the table stays a few cache lines where a Go map paid a hash,
+//     a bucket walk and a tombstone per task. Validate keeps a map: it
+//     must remember tasks after they finish.
 package obs

@@ -52,7 +52,7 @@ func Summarize(name string, events []Event) *Summary {
 		return s
 	}
 	s.Start = events[0].T
-	arrived := map[uint64]int64{}
+	var arrived inflight
 	var started perCore[int64]
 	occupancy := 0
 	for i := range events {
@@ -70,7 +70,7 @@ func Summarize(name string, events []Event) *Summary {
 		}
 		switch e.Kind {
 		case Arrive:
-			arrived[e.Task] = e.T
+			arrived.put(e.Task, e.T)
 			occupancy++
 			if occupancy > s.MaxOccupancy {
 				s.MaxOccupancy = occupancy
@@ -91,13 +91,12 @@ func Summarize(name string, events []Event) *Summary {
 			s.Preemptions++
 		case Finish:
 			occupancy--
-			if at, ok := arrived[e.Task]; ok {
+			if at, ok := arrived.take(e.Task); ok {
 				s.Sojourn.Add(e.T - at)
-				delete(arrived, e.Task)
 			}
 		case Drop:
 			occupancy--
-			delete(arrived, e.Task)
+			arrived.take(e.Task)
 		}
 	}
 	s.Tasks = s.Counts[Arrive]
@@ -240,7 +239,7 @@ func Windows(events []Event, width int64) []Window {
 		return i
 	}
 	cores := 0
-	arrived := map[uint64]int64{}
+	var arrived inflight
 	var started perCore[int64]
 	occupancy := 0
 	// occAt records the latest occupancy seen per window; windows with
@@ -256,7 +255,7 @@ func Windows(events []Event, width int64) []Window {
 		w := idx(e.T)
 		switch e.Kind {
 		case Arrive:
-			arrived[e.Task] = e.T
+			arrived.put(e.Task, e.T)
 			occupancy++
 		case Dispatch:
 			wins[w].Dispatches++
@@ -284,14 +283,13 @@ func Windows(events []Event, width int64) []Window {
 		case Finish:
 			wins[w].Finishes++
 			occupancy--
-			if at, ok := arrived[e.Task]; ok {
+			if at, ok := arrived.take(e.Task); ok {
 				hists[w].Add(e.T - at)
-				delete(arrived, e.Task)
 			}
 		case Drop:
 			wins[w].Drops++
 			occupancy--
-			delete(arrived, e.Task)
+			arrived.take(e.Task)
 		}
 		occAt[w] = occupancy
 		occSet[w] = true

@@ -43,20 +43,22 @@ type SweepResult struct {
 	Results []*cluster.Result
 }
 
-// Sweep runs every variant over the rate grid through
-// cluster.ParallelSweep: each (variant, rate) point is an independent
-// fleet simulation under its own derived seed, so the returned series
-// are identical for any worker count. Results come back in variant
-// order, each series in rate order.
+// Sweep runs every variant over the rate grid on one cluster.Plan pool:
+// each (variant, rate) point is an independent fleet simulation under
+// its own derived seed, so the returned series are identical for any
+// worker count. Results come back in variant order, each series in rate
+// order.
 func Sweep(variants []Variant, w *workload.Workload, rates []float64, dur, warm sim.Time, seed uint64, opt cluster.SweepOptions) []SweepResult {
-	out := make([]SweepResult, 0, len(variants))
-	for _, v := range variants {
+	plan := cluster.NewPlan(opt)
+	curves := make([]*cluster.Curve, len(variants))
+	for i, v := range variants {
 		fleet := v.Fleet()
-		mf := func() cluster.Machine { return fleet }
-		out = append(out, SweepResult{
-			Variant: v,
-			Results: cluster.ParallelSweep(mf, w, rates, dur, warm, seed, opt),
-		})
+		curves[i] = plan.Sweep(func() cluster.Machine { return fleet }, w, rates, dur, warm, seed)
+	}
+	plan.Run()
+	out := make([]SweepResult, len(variants))
+	for i, v := range variants {
+		out[i] = SweepResult{Variant: v, Results: curves[i].Results}
 	}
 	return out
 }

@@ -74,7 +74,7 @@ func newTraceSampler(trace []sim.Time) traceSampler {
 func (s traceSampler) Name() string { return fmt.Sprintf("trace(n=%d)", len(s.trace)) }
 
 // Mean returns the empirical mean of the trace — the value capacity
-// planning (MaxLoad, SpeculativeMaxRateUnder grids) must use for
+// planning (MaxLoad, MaxRateUnder grids) must use for
 // trace-backed workloads.
 func (s traceSampler) Mean() sim.Time { return s.mean }
 

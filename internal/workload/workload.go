@@ -89,7 +89,7 @@ func New(name string, classes []ClassInfo) *Workload {
 // MeanService returns the expected service time of one request. For
 // sampler-backed classes (exponential, trace, heavy-tail laws) it uses
 // the sampler's true mean — for traces, the empirical mean — so
-// capacity planning (MaxLoad, SpeculativeMaxRateUnder, sweep knees) is
+// capacity planning (MaxLoad, MaxRateUnder, sweep knees) is
 // exact for every law.
 func (w *Workload) MeanService() sim.Time {
 	mean := 0.0
