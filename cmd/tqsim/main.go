@@ -64,7 +64,7 @@ func main() {
 		for _, n := range cluster.Names() {
 			e, _ := cluster.Lookup(n)
 			knob := " "
-			if e.NewD != nil {
+			if e.TakesDiscipline {
 				knob = "D" // takes -discipline
 			}
 			fmt.Printf("%-20s %s %s\n", n, knob, e.Summary)
@@ -298,8 +298,7 @@ func parseMachineList(list string) ([]string, error) {
 // runMachines sweeps the named registry machines side by side over one
 // workload — any registered machine, default parameters, selected by
 // name (the registry is the front door; see cluster.Names). A
-// -discipline rebuilds every named machine with that queue discipline
-// through its Entry.NewD constructor.
+// -discipline builds every named machine with that queue discipline.
 func runMachines(sc experiments.Scale, list, workloadName, discipline string) error {
 	w, err := findWorkload(workloadName)
 	if err != nil {
@@ -309,18 +308,12 @@ func runMachines(sc experiments.Scale, list, workloadName, discipline string) er
 	if err != nil {
 		return err
 	}
-	if discipline != "" {
-		if _, err := pifo.Parse(discipline); err != nil {
-			return fmt.Errorf("%v (run -discipline list for the catalogue)", err)
-		}
-		for _, n := range names {
-			if e, _ := cluster.Lookup(n); e.NewD == nil {
-				return fmt.Errorf("machine %q has no discipline knob; drop it from -machines or drop -discipline", n)
-			}
-		}
+	cmp, err := experiments.CompareMachines(sc, w, nil, cluster.Options{Discipline: discipline}, names...)
+	if err != nil {
+		return err
 	}
 	header(fmt.Sprintf("Machine comparison on %s: p99.9 end-to-end(µs) vs rate(rps)", w.Name))
-	printComparison(experiments.CompareMachinesD(sc, w, nil, discipline, names...))
+	printComparison(cmp)
 	return nil
 }
 

@@ -17,15 +17,10 @@ package main
 
 import (
 	"fmt"
-	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
+	"repro/internal/analysis/driver"
 	"repro/internal/analysis/tqvet"
 )
 
@@ -34,7 +29,7 @@ func main() {
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	dirs, err := expandDirs(args)
+	dirs, err := driver.ExpandDirs(args)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tqvet:", err)
 		os.Exit(2)
@@ -43,7 +38,7 @@ func main() {
 	fset := token.NewFileSet()
 	findings := 0
 	for _, dir := range dirs {
-		files, err := parseDir(fset, dir)
+		files, err := driver.ParseDir(fset, dir, true)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tqvet:", err)
 			os.Exit(2)
@@ -69,74 +64,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tqvet: %d finding(s)\n", findings)
 		os.Exit(1)
 	}
-}
-
-// expandDirs resolves the argument patterns into a sorted, de-duplicated
-// directory list; "dir/..." recurses.
-func expandDirs(args []string) ([]string, error) {
-	seen := map[string]bool{}
-	var dirs []string
-	add := func(d string) {
-		if !seen[d] {
-			seen[d] = true
-			dirs = append(dirs, d)
-		}
-	}
-	for _, arg := range args {
-		root, recurse := strings.CutSuffix(arg, "/...")
-		if root == "" || root == "." {
-			root = "."
-		}
-		info, err := os.Stat(root)
-		if err != nil {
-			return nil, err
-		}
-		if !info.IsDir() {
-			return nil, fmt.Errorf("%s is not a directory", root)
-		}
-		if !recurse {
-			add(filepath.Clean(root))
-			continue
-		}
-		err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || name == "vendor") {
-				return filepath.SkipDir
-			}
-			add(filepath.Clean(path))
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sort.Strings(dirs)
-	return dirs, nil
-}
-
-// parseDir parses every .go file directly inside dir (comments
-// included — suppression markers live there).
-func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	return files, nil
 }

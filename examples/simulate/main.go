@@ -25,7 +25,7 @@ func main() {
 	// sweet spot). cluster.Names() lists the full catalogue.
 	var systems []cluster.Machine
 	for _, name := range []string{"tq", "shinjuku", "caladan-iokernel"} {
-		systems = append(systems, cluster.MustLookup(name).New())
+		systems = append(systems, cluster.MustLookup(name).Build(cluster.Options{}))
 	}
 
 	fmt.Printf("%-22s %12s %16s %16s\n", "system", "rate(Mrps)", "Short p99.9(µs)", "Long p99.9(µs)")

@@ -28,7 +28,7 @@ func main() {
 }
 
 func run(name string, cfg cluster.RunConfig) *cluster.Result {
-	return cluster.MustLookup(name).New().Run(cfg)
+	return cluster.MustLookup(name).Build(cluster.Options{}).Run(cfg)
 }
 
 // h1: does TQ's advantage over Shinjuku grow with Pareto tail weight?

@@ -21,7 +21,7 @@ const (
 
 func run(t *testing.T, name string, cfg cluster.RunConfig) *cluster.Result {
 	t.Helper()
-	res := cluster.MustLookup(name).New().Run(cfg)
+	res := cluster.MustLookup(name).Build(cluster.Options{}).Run(cfg)
 	if res.Completed == 0 {
 		t.Fatalf("%s completed nothing", name)
 	}

@@ -1,14 +1,11 @@
 package simvet_test
 
 import (
-	"go/parser"
 	"go/token"
-	"io/fs"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
+	"repro/internal/analysis/driver"
 	"repro/internal/analysis/simvet"
 )
 
@@ -18,55 +15,32 @@ import (
 // cleanliness is enforced by `go test` too, not only by CI wiring.
 func TestDogfoodRepoClean(t *testing.T) {
 	root := filepath.Join("..", "..", "..")
-	var dirs []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || name == "vendor") {
-			return filepath.SkipDir
-		}
-		dirs = append(dirs, path)
-		return nil
-	})
+	dirs, err := driver.ExpandDirs([]string{root + "/..."})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checked := 0
 	for _, dir := range dirs {
-		entries, err := os.ReadDir(dir)
+		fset := token.NewFileSet()
+		files, err := driver.ParseDir(fset, dir, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fset := token.NewFileSet()
+		if len(files) == 0 {
+			continue
+		}
 		rel, err := filepath.Rel(root, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pass := &simvet.Pass{
-			Fset: fset,
-			Path: filepath.ToSlash(rel),
+			Fset:  fset,
+			Path:  filepath.ToSlash(rel),
+			Files: files,
 			Report: func(d simvet.Diagnostic) {
 				p := fset.Position(d.Pos)
 				t.Errorf("%s:%d: %s: %s: %s", p.Filename, p.Line, d.Analyzer, d.Category, d.Message)
 			},
-		}
-		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-			if err != nil {
-				t.Fatalf("parse %s: %v", filepath.Join(dir, e.Name()), err)
-			}
-			pass.Files = append(pass.Files, f)
-		}
-		if len(pass.Files) == 0 {
-			continue
 		}
 		checked++
 		if err := simvet.Analyze(pass); err != nil {

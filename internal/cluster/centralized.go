@@ -38,14 +38,6 @@ func NewCentralizedPS(workers int, quantum, overhead sim.Time) *CentralizedPS {
 	return &CentralizedPS{Workers: workers, Quantum: quantum, PreemptOverhead: overhead}
 }
 
-// WithDiscipline sets the global-queue discipline by name (validated
-// now, so a typo panics at construction) and returns the machine.
-func (c *CentralizedPS) WithDiscipline(d string) *CentralizedPS {
-	parseDiscipline(d, pifo.RR)
-	c.Discipline = d
-	return c
-}
-
 // Name implements Machine.
 func (c *CentralizedPS) Name() string { return disciplineName("CT-PS", c.Discipline) }
 

@@ -439,58 +439,6 @@ type Machine interface {
 	Name() string
 }
 
-// sloMachine stamps per-class SLO targets onto every RunConfig, so
-// SLO-less sweep drivers (whose signatures fix the config fields)
-// still produce goodput curves.
-type sloMachine struct {
-	m    Machine
-	slos map[string]sim.Time
-}
-
-func (s sloMachine) Run(cfg RunConfig) *Result {
-	cfg.SLOs = s.slos
-	return s.m.Run(cfg)
-}
-
-func (s sloMachine) Name() string { return s.m.Name() }
-
-// WithSLOs wraps a machine so every Run carries the given per-class
-// sojourn targets (see RunConfig.SLOs). A nil or empty map returns
-// the machine unchanged.
-func WithSLOs(m Machine, slos map[string]sim.Time) Machine {
-	if len(slos) == 0 {
-		return m
-	}
-	return sloMachine{m: m, slos: slos}
-}
-
-// arrivalsMachine stamps an arrival-process spec and tenant table onto
-// every RunConfig, so sweep drivers whose signatures fix the config
-// fields (Sweep, experiments) still explore the non-Poisson axes.
-type arrivalsMachine struct {
-	m        Machine
-	arrivals string
-	tenants  []workload.Tenant
-}
-
-func (a arrivalsMachine) Run(cfg RunConfig) *Result {
-	cfg.Arrivals = a.arrivals
-	cfg.Tenants = a.tenants
-	return a.m.Run(cfg)
-}
-
-func (a arrivalsMachine) Name() string { return a.m.Name() }
-
-// WithArrivals wraps a machine so every Run uses the given arrival
-// process and tenant table (see RunConfig.Arrivals/Tenants). An empty
-// spec and nil tenants return the machine unchanged.
-func WithArrivals(m Machine, arrivals string, tenants []workload.Tenant) Machine {
-	if arrivals == "" && len(tenants) == 0 {
-		return m
-	}
-	return arrivalsMachine{m: m, arrivals: arrivals, tenants: tenants}
-}
-
 // String renders a one-line summary, useful in logs and examples.
 func (r *Result) String() string {
 	s := fmt.Sprintf("%s rate=%.2gMrps tput=%.2gMrps", r.System, r.Config.Rate/1e6, r.Throughput/1e6)

@@ -307,7 +307,7 @@ func TestSweepShapes(t *testing.T) {
 		t.Fatalf("RatesUpTo returned %v", rates)
 	}
 	m := NewTQ(NewTQParams())
-	results := Sweep(m, w, rates[:2], 20*sim.Millisecond, 2*sim.Millisecond, 1)
+	results := Sweep(m, RunConfig{Workload: w, Duration: 20 * sim.Millisecond, Warmup: 2 * sim.Millisecond, Seed: 1}, rates[:2])
 	if len(results) != 2 {
 		t.Fatalf("Sweep returned %d results", len(results))
 	}
@@ -325,7 +325,7 @@ func TestMaxRateUnderFindsKnee(t *testing.T) {
 	w := workload.ExtremeBimodal()
 	rates := RatesUpTo(w.MaxLoad(16), 8)
 	m := NewTQ(NewTQParams())
-	best := MaxRateUnder(m, w, rates, 20*sim.Millisecond, 2*sim.Millisecond, 1, func(r *Result) bool {
+	best := MaxRateUnder(m, RunConfig{Workload: w, Duration: 20 * sim.Millisecond, Warmup: 2 * sim.Millisecond, Seed: 1}, rates, func(r *Result) bool {
 		return r.P999EndToEndUs("Short") <= 50
 	})
 	if best <= 0 {
@@ -443,13 +443,10 @@ func TestOverloadAccountingConservation(t *testing.T) {
 func TestSLOGoodputBelowThroughputUnderLoad(t *testing.T) {
 	// A 20µs sojourn target on Extreme Bimodal: long jobs (~100µs of
 	// service) can never meet it, so goodput must fall below
-	// throughput, per-class Good must drop below Count, and the
-	// WithSLOs wrapper must behave exactly like setting RunConfig.SLOs
-	// directly.
+	// throughput and per-class Good must drop below Count.
 	w := workload.ExtremeBimodal()
-	slos := map[string]sim.Time{"*": sim.Micros(20)}
 	cfg := testCfg(w, 0.6*w.MaxLoad(16))
-	cfg.SLOs = slos
+	cfg.SLOs = map[string]sim.Time{"*": sim.Micros(20)}
 	res := NewTQ(NewTQParams()).Run(cfg)
 	if res.Completed == 0 {
 		t.Fatal("no completions")
@@ -464,10 +461,6 @@ func TestSLOGoodputBelowThroughputUnderLoad(t *testing.T) {
 	short := res.Class("Short")
 	if short.Good == 0 {
 		t.Fatal("no short job met a 20µs SLO at moderate load")
-	}
-	wrapped := WithSLOs(NewTQ(NewTQParams()), slos).Run(testCfg(w, 0.6*w.MaxLoad(16)))
-	if !reflect.DeepEqual(res, wrapped) {
-		t.Fatal("WithSLOs differs from setting RunConfig.SLOs directly")
 	}
 }
 

@@ -45,7 +45,7 @@ func TraceComparisonNamed(cfg RunConfig, cap int, names ...string) ([]obs.Proces
 		if !ok {
 			return nil, fmt.Errorf("cluster: unknown machine %q (known: %s)", n, joinNames())
 		}
-		machines = append(machines, e.New())
+		machines = append(machines, e.Build(Options{}))
 	}
 	return TraceComparison(cfg, cap, machines...)
 }

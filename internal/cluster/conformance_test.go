@@ -3,6 +3,8 @@ package cluster
 import (
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -53,7 +55,7 @@ func TestRegistryConformance(t *testing.T) {
 		for cfgName, cfg := range conformanceConfigs() {
 			t.Run(name+"/"+cfgName, func(t *testing.T) {
 				t.Parallel()
-				m := e.New()
+				m := e.Build(Options{})
 				if m.Name() == "" {
 					t.Fatal("machine has empty display name")
 				}
@@ -62,7 +64,7 @@ func TestRegistryConformance(t *testing.T) {
 					t.Errorf("conservation violated: offered %d != completed %d + dropped %d",
 						res.Offered, res.Completed, res.Dropped)
 				}
-				again := summarize(e.New().Run(cfg))
+				again := summarize(e.Build(Options{}).Run(cfg))
 				if !reflect.DeepEqual(summarize(res), again) {
 					t.Errorf("run-twice mismatch: fresh machine produced different numbers\nfirst:  %+v\nsecond: %+v",
 						summarize(res), again)
@@ -87,7 +89,7 @@ func TestRegistryTimelines(t *testing.T) {
 			rec := obs.NewRing(1 << 21)
 			c := cfg
 			c.Obs = rec
-			e.New().Run(c)
+			e.Build(Options{}).Run(c)
 			if rec.Truncated() {
 				t.Fatalf("recorder truncated (%d discarded); raise the test cap", rec.Discarded())
 			}
@@ -125,7 +127,7 @@ func TestRegistryDropCores(t *testing.T) {
 			rec := obs.NewRing(1 << 22)
 			c := cfg
 			c.Obs = rec
-			res := e.New().Run(c)
+			res := e.Build(Options{}).Run(c)
 			if rec.Truncated() {
 				t.Fatalf("recorder truncated (%d discarded); raise the test cap", rec.Discarded())
 			}
@@ -167,10 +169,10 @@ func TestRegistryDropCores(t *testing.T) {
 	}
 }
 
-// TestRegistryNewD checks the discipline dimension: every
-// discipline-parameterized constructor builds a runnable machine under
-// every pifo discipline, the conservation law holds, and the display
-// name carries the discipline suffix so sweeps stay distinguishable.
+// TestRegistryNewD checks the discipline dimension: every entry taking
+// a discipline builds a runnable machine under every pifo discipline,
+// the conservation law holds, and the display name carries the
+// discipline suffix so sweeps stay distinguishable.
 func TestRegistryNewD(t *testing.T) {
 	cfg := conformanceConfigs()["midload"]
 	cfg.Duration = 2 * sim.Millisecond
@@ -181,14 +183,14 @@ func TestRegistryNewD(t *testing.T) {
 	cfg.SLOs = map[string]sim.Time{"*": sim.Micros(100)}
 	for _, name := range Names() {
 		e := MustLookup(name)
-		if e.NewD == nil {
+		if !e.TakesDiscipline {
 			continue
 		}
 		for _, d := range pifo.Names() {
 			t.Run(name+"/"+d, func(t *testing.T) {
 				t.Parallel()
-				m := e.NewD(d)
-				if base := e.New().Name(); m.Name() == base {
+				m := e.Build(Options{Discipline: d})
+				if base := e.Build(Options{}).Name(); m.Name() == base {
 					t.Errorf("disciplined machine reports the base name %q; want a +%s suffix", base, d)
 				}
 				res := m.Run(cfg)
@@ -204,24 +206,151 @@ func TestRegistryNewD(t *testing.T) {
 	}
 }
 
-// TestRegistryNewQ checks that every quantum-parameterized constructor
-// builds a runnable machine.
+// TestRegistryNewQ checks that every entry taking a quantum builds a
+// runnable machine under one.
 func TestRegistryNewQ(t *testing.T) {
 	cfg := conformanceConfigs()["midload"]
 	cfg.Duration = 2 * sim.Millisecond
 	cfg.Warmup = 200 * sim.Microsecond
 	for _, name := range Names() {
 		e := MustLookup(name)
-		if e.NewQ == nil {
+		if !e.TakesQuantum {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			res := e.NewQ(sim.Micros(4)).Run(cfg)
+			res := e.Build(Options{Quantum: sim.Micros(4)}).Run(cfg)
 			if res.Offered == 0 {
 				t.Error("quantum-parameterized machine resolved no requests")
 			}
 		})
+	}
+}
+
+// handBuilt is every registry entry written out with the typed
+// constructors: q is the entry's default quantum (0 = no quantum knob), d
+// whether it takes a discipline, and build the machine at an explicit
+// quantum and discipline — what Entry.Build must reproduce.
+var handBuilt = map[string]struct {
+	q     sim.Time
+	d     bool
+	build func(q sim.Time, d string) Machine
+}{
+	"tq": {sim.Micros(2), true, func(q sim.Time, d string) Machine {
+		p := NewTQParams()
+		p.Quantum, p.Discipline = q, d
+		return NewTQ(p)
+	}},
+	"tq-las":        {sim.Micros(2), false, func(q sim.Time, _ string) Machine { return NewTQLAS(tqAt(q)) }},
+	"tq-ic":         {sim.Micros(2), false, func(q sim.Time, _ string) Machine { return NewTQIC(tqAt(q)) }},
+	"tq-slow-yield": {sim.Micros(2), false, func(q sim.Time, _ string) Machine { return NewTQSlowYield(tqAt(q)) }},
+	"tq-timing":     {0, false, func(sim.Time, string) Machine { return NewTQTiming(NewTQParams()) }},
+	"tq-rand":       {0, false, func(sim.Time, string) Machine { return NewTQRand(NewTQParams()) }},
+	"tq-power-two":  {0, false, func(sim.Time, string) Machine { return NewTQPowerTwo(NewTQParams()) }},
+	"tq-fcfs":       {0, false, func(sim.Time, string) Machine { return NewTQFCFS(NewTQParams()) }},
+	"shinjuku":      {sim.Micros(5), false, func(q sim.Time, _ string) Machine { return NewShinjuku(NewShinjukuParams(q)) }},
+	"concord":       {sim.Micros(5), false, func(q sim.Time, _ string) Machine { return NewConcord(q) }},
+	"libpreemptible": {sim.Micros(2), false, func(q sim.Time, _ string) Machine {
+		return NewLibPreemptible(tqAt(q))
+	}},
+	"caladan-iokernel":   {0, false, func(sim.Time, string) Machine { return NewCaladan(NewCaladanParams(IOKernel)) }},
+	"caladan-directpath": {0, false, func(sim.Time, string) Machine { return NewCaladan(NewCaladanParams(Directpath)) }},
+	"caladan-ws":         {0, false, func(sim.Time, string) Machine { return NewBestCaladan("") }},
+	"ct-ps": {sim.Micros(2), true, func(q sim.Time, d string) Machine {
+		return &CentralizedPS{Workers: 16, Quantum: q, Discipline: d}
+	}},
+	"tls-jsq-msq":  {sim.Micros(1), true, func(q sim.Time, d string) Machine { return tlsAt(q, BalanceJSQMSQ, "TLS-JSQ-PS-MSQ", d) }},
+	"tls-jsq-rand": {sim.Micros(1), true, func(q sim.Time, d string) Machine { return tlsAt(q, BalanceJSQRandom, "TLS-JSQ-PS-RAND-TIE", d) }},
+	"d-fcfs": {0, true, func(_ sim.Time, d string) Machine {
+		p := NewDFCFSParams()
+		p.Discipline = d
+		return NewDFCFS(p)
+	}},
+	"oracle-srpt": {0, false, func(sim.Time, string) Machine { return NewOracle(16) }},
+}
+
+func tqAt(q sim.Time) TQParams {
+	p := NewTQParams()
+	p.Quantum = q
+	return p
+}
+
+func tlsAt(q sim.Time, balancer BalancerKind, name, d string) Machine {
+	p := NewIdealTLS(16, q, balancer).P
+	p.Discipline = d
+	if d != "" {
+		name += "+" + d
+	}
+	return NewTQ(p).Named(name)
+}
+
+// TestRegistryBuildOptions crosses every entry with every combination of
+// the two options. Where the entry takes what is asked, Build's machine
+// must equal the hand-built one — name and, bit for bit, one short run;
+// where it does not, Check's error must name the entry and the knob, and
+// Build must refuse too.
+func TestRegistryBuildOptions(t *testing.T) {
+	cfg := conformanceConfigs()["midload"]
+	cfg.Duration = sim.Millisecond
+	cfg.Warmup = 100 * sim.Microsecond
+	for _, name := range Names() {
+		e := MustLookup(name)
+		hand, ok := handBuilt[name]
+		if !ok {
+			t.Errorf("%s: registered but missing from handBuilt", name)
+			continue
+		}
+		if e.TakesQuantum != (hand.q != 0) || e.TakesDiscipline != hand.d {
+			t.Errorf("%s: takes quantum %v discipline %v, want %v %v", name, e.TakesQuantum, e.TakesDiscipline, hand.q != 0, hand.d)
+		}
+		for combo, o := range map[string]Options{
+			"zero":       {},
+			"quantum":    {Quantum: sim.Micros(4)},
+			"discipline": {Discipline: "las"},
+			"both":       {Quantum: sim.Micros(4), Discipline: "las"},
+		} {
+			t.Run(name+"/"+combo, func(t *testing.T) {
+				t.Parallel()
+				knob := ""
+				switch {
+				case o.Quantum != 0 && hand.q == 0:
+					knob = "quantum"
+				case o.Discipline != "" && !hand.d:
+					knob = "discipline"
+				}
+				err := e.Check(o)
+				if knob != "" {
+					if err == nil || !strings.Contains(err.Error(), strconv.Quote(name)) || !strings.Contains(err.Error(), knob) {
+						t.Fatalf("Check = %v, want an error naming %q and its missing %s knob", err, name, knob)
+					}
+					defer func() {
+						if recover() == nil {
+							t.Error("Build accepted options Check refuses")
+						}
+					}()
+					e.Build(o)
+					return
+				}
+				if err != nil {
+					t.Fatalf("Check refused options the entry takes: %v", err)
+				}
+				want := hand.build(o.quantum(hand.q), o.Discipline)
+				got := e.Build(o)
+				if got.Name() != want.Name() {
+					t.Errorf("built %q, hand-built %q", got.Name(), want.Name())
+				}
+				res := got.Run(cfg)
+				if res.Completed == 0 {
+					t.Fatal("the run completed nothing; the comparison tests nothing")
+				}
+				if !reflect.DeepEqual(res, want.Run(cfg)) {
+					t.Error("registry machine's run differs from the hand-built machine's")
+				}
+			})
+		}
+	}
+	if err := MustLookup("tq").Check(Options{Discipline: "nope"}); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Errorf("unknown discipline: Check = %v, want an error quoting it", err)
 	}
 }
 
@@ -253,7 +382,7 @@ func TestRegistrySteadyStateAllocs(t *testing.T) {
 	measure := func(e Entry, d sim.Time) (mallocs, events uint64) {
 		c := cfg
 		c.Duration = d
-		m := e.New()
+		m := e.Build(Options{})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		res := m.Run(c)

@@ -11,7 +11,7 @@ import (
 // rewired machines (TQ's worker queues, CT-PS's global queue, d-FCFS's
 // per-worker NIC queues) push with. The machines keep their event
 // logic; the discipline is data threaded through their params structs
-// and the registry's Entry.NewD constructor.
+// and the registry's Options.Discipline.
 
 // ranker computes pifo ranks for pooled jobs under one discipline.
 type ranker struct {

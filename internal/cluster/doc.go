@@ -54,8 +54,10 @@
 //
 // The named-machine registry (registry.go) is the catalogue's front
 // door: Register/Lookup/MustLookup/Names map stable names ("tq",
-// "shinjuku", "caladan-ws", "d-fcfs", ...) to paper-default
-// constructors, so sweep drivers, comparison tools, and command-line
+// "shinjuku", "caladan-ws", "d-fcfs", ...) to one constructor each,
+// Entry.Build(Options): the zero Options is the paper's configuration,
+// and which of Quantum and Discipline an entry takes is data on it
+// (Entry.Check refuses the rest by name). So sweep drivers, comparison tools, and command-line
 // flags (tqsim -machines, tqtrace export -machines) enumerate machines
 // without hard-coded constructor lists. Registration also enrolls a
 // machine in the conformance suite, which checks conservation,
@@ -66,8 +68,9 @@
 // The registry has a second dimension besides the quantum: machines
 // whose queues were rewired onto internal/pifo's rank-programmable
 // priority queues (TQ, CentralizedPS, the idealized TLS pair, DFCFS)
-// expose Entry.NewD, which rebuilds them under any pifo discipline —
-// rr, fcfs, srpt, edf, las, prio-age (tqsim -discipline). Each
+// take Options.Discipline (Entry.TakesDiscipline), which builds them
+// under any pifo discipline — rr, fcfs, srpt, edf, las, prio-age (tqsim
+// -discipline) — and combines with Options.Quantum. Each
 // machine's default discipline ranks exactly in its historical queue
 // order (rr pushes by time for PS rotation, fcfs by arrival, las by
 // attained service), so the golden seed-equivalence fixtures prove the
@@ -83,11 +86,12 @@
 // stop-at-the-first-violation chains (Plan.MaxRateUnder, Plan.Chain),
 // then runs them once on a bounded worker pool, costliest point first
 // — the rank is a point's offered requests, Rate × Duration, computed
-// when it is declared. Every point's seed is fixed at declaration
-// (rng.PointSeed(seed, index within its own curve)), so results are
-// bit-identical for any worker count and any start order.
-// ParallelSweep is a one-curve Plan; Sweep and MaxRateUnder are the
-// sequential references the pool is tested against.
+// when it is declared. A sweep takes a template RunConfig and a rate
+// grid: point i is the template with Rate = rates[i] and Seed =
+// rng.PointSeed(template seed, i), everything else (SLOs, Arrivals,
+// Tenants, Duration, Warmup) carried through, so results are
+// bit-identical for any worker count and any start order. Sweep and
+// MaxRateUnder are the sequential references the pool is tested against.
 //
 // # Observability
 //

@@ -27,7 +27,7 @@ func Example() {
 		if !ok {
 			panic("unknown machine " + name)
 		}
-		res := entry.New().Run(cfg)
+		res := entry.Build(cluster.Options{}).Run(cfg)
 		fmt.Printf("%s short jobs under 50µs p99.9: %v\n", res.System, res.P999EndToEndUs("Short") < 50)
 	}
 	// Output:

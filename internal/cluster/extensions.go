@@ -19,24 +19,10 @@ import "repro/internal/sim"
 //   - the idealized overhead-free TLS machine behind the Figure 4
 //     policy simulation.
 
-// WorkerPolicy selects how a TQ worker orders its admitted jobs.
-type WorkerPolicy int
-
-// Worker quantum-scheduling policies.
-const (
-	// PolicyPS is processor sharing: round-robin quanta (TQ default).
-	PolicyPS WorkerPolicy = iota
-	// PolicyLAS runs the job with the least attained service first —
-	// approximating SRPT without service-time knowledge. Forced
-	// multitasking makes it practical at µs scale because the quantum
-	// can stay tiny.
-	PolicyLAS
-)
-
 // NewTQLAS returns a TQ machine whose workers schedule by least
 // attained service instead of round-robin PS.
 func NewTQLAS(p TQParams) *TQ {
-	p.Policy = PolicyLAS
+	p.Discipline = "las"
 	return NewTQ(p).Named("TQ-LAS")
 }
 

@@ -82,10 +82,12 @@ func summarize(res *Result) goldenSummary {
 // goldenMachines enumerates every machine model and variant under fixed
 // parameters (8 workers where the constructor allows it, so fixtures
 // stay fast). Keys are fixture identifiers, stable across refactors
-// even if display names change.
+// even if display names change. A row's slos, when set, are the
+// RunConfig.SLOs it runs under.
 func goldenMachines() []struct {
-	key string
-	m   Machine
+	key  string
+	m    Machine
+	slos map[string]sim.Time
 } {
 	p8 := func() TQParams {
 		p := NewTQParams()
@@ -108,35 +110,36 @@ func goldenMachines() []struct {
 		return p
 	}
 	return []struct {
-		key string
-		m   Machine
+		key  string
+		m    Machine
+		slos map[string]sim.Time
 	}{
-		{"tq", NewTQ(p8())},
-		{"tq-las", NewTQLAS(p8())},
-		{"tq-ic", NewTQIC(p8())},
-		{"tq-slow-yield", NewTQSlowYield(p8())},
-		{"tq-timing", NewTQTiming(p8())},
-		{"tq-rand", NewTQRand(p8())},
-		{"tq-power-two", NewTQPowerTwo(p8())},
-		{"tq-fcfs", NewTQFCFS(p8())},
-		{"tq-slo", WithSLOs(NewTQ(p8()), map[string]sim.Time{"*": sim.Micros(20)})},
-		{"shinjuku", NewShinjuku(sj8(sim.Micros(5)))},
-		{"concord", NewConcord(sim.Micros(5))},
-		{"libpreemptible", NewLibPreemptible(p8())},
-		{"caladan-iokernel", NewCaladan(cal8(IOKernel))},
-		{"caladan-directpath", NewCaladan(cal8(Directpath))},
-		{"caladan-best", NewBestCaladan("Short")},
-		{"ct-ps", NewCentralizedPS(8, sim.Micros(2), 0)},
-		{"ct-srpt", NewCentralizedPS(8, sim.Micros(2), 0).WithDiscipline("srpt")},
-		{"d-fcfs", NewDFCFS(df8())},
-		{"oracle-srpt", NewOracle(8)},
-		{"tq-srpt", func() Machine {
+		{key: "tq", m: NewTQ(p8())},
+		{key: "tq-las", m: NewTQLAS(p8())},
+		{key: "tq-ic", m: NewTQIC(p8())},
+		{key: "tq-slow-yield", m: NewTQSlowYield(p8())},
+		{key: "tq-timing", m: NewTQTiming(p8())},
+		{key: "tq-rand", m: NewTQRand(p8())},
+		{key: "tq-power-two", m: NewTQPowerTwo(p8())},
+		{key: "tq-fcfs", m: NewTQFCFS(p8())},
+		{key: "tq-slo", m: NewTQ(p8()), slos: map[string]sim.Time{"*": sim.Micros(20)}},
+		{key: "shinjuku", m: NewShinjuku(sj8(sim.Micros(5)))},
+		{key: "concord", m: NewConcord(sim.Micros(5))},
+		{key: "libpreemptible", m: NewLibPreemptible(p8())},
+		{key: "caladan-iokernel", m: NewCaladan(cal8(IOKernel))},
+		{key: "caladan-directpath", m: NewCaladan(cal8(Directpath))},
+		{key: "caladan-best", m: NewBestCaladan("Short")},
+		{key: "ct-ps", m: NewCentralizedPS(8, sim.Micros(2), 0)},
+		{key: "ct-srpt", m: &CentralizedPS{Workers: 8, Quantum: sim.Micros(2), Discipline: "srpt"}},
+		{key: "d-fcfs", m: NewDFCFS(df8())},
+		{key: "oracle-srpt", m: NewOracle(8)},
+		{key: "tq-srpt", m: func() Machine {
 			p := p8()
 			p.Discipline = "srpt"
 			return NewTQ(p)
 		}()},
-		{"tls-jsq-msq", NewIdealTLS(8, sim.Micros(1), BalanceJSQMSQ)},
-		{"tls-jsq-rand", NewIdealTLS(8, sim.Micros(1), BalanceJSQRandom)},
+		{key: "tls-jsq-msq", m: NewIdealTLS(8, sim.Micros(1), BalanceJSQMSQ)},
+		{key: "tls-jsq-rand", m: NewIdealTLS(8, sim.Micros(1), BalanceJSQRandom)},
 	}
 }
 
@@ -171,6 +174,7 @@ func TestGoldenSeedEquivalence(t *testing.T) {
 	for cfgName, cfg := range goldenConfigs() {
 		got[cfgName] = map[string]goldenSummary{}
 		for _, gm := range goldenMachines() {
+			cfg.SLOs = gm.slos
 			got[cfgName][gm.key] = summarize(gm.m.Run(cfg))
 		}
 	}

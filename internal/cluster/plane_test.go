@@ -49,7 +49,7 @@ func TestArrivalProcessConformance(t *testing.T) {
 					Seed:     31,
 					Arrivals: arrivals,
 				}
-				res := e.New().Run(cfg)
+				res := e.Build(Options{}).Run(cfg)
 				if res.Offered == 0 {
 					t.Fatal("no requests resolved")
 				}
@@ -57,7 +57,7 @@ func TestArrivalProcessConformance(t *testing.T) {
 					t.Errorf("conservation violated: offered %d != completed %d + dropped %d",
 						res.Offered, res.Completed, res.Dropped)
 				}
-				again := summarize(e.New().Run(cfg))
+				again := summarize(e.Build(Options{}).Run(cfg))
 				if !reflect.DeepEqual(summarize(res), again) {
 					t.Errorf("run-twice mismatch\nfirst:  %+v\nsecond: %+v", summarize(res), again)
 				}
@@ -84,7 +84,7 @@ func TestClosedLoopMakesProgress(t *testing.T) {
 		e := MustLookup(name)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			res := e.New().Run(cfg)
+			res := e.Build(Options{}).Run(cfg)
 			if res.Offered <= users {
 				t.Fatalf("closed loop stalled: %d requests resolved with %d users — retirement feedback is not reaching the stream",
 					res.Offered, users)
@@ -125,7 +125,7 @@ func TestTenantConservation(t *testing.T) {
 		e := MustLookup(name)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			res := e.New().Run(cfg)
+			res := e.Build(Options{}).Run(cfg)
 			if len(res.PerTenant) != 2 {
 				t.Fatalf("PerTenant has %d entries, want 2", len(res.PerTenant))
 			}
@@ -167,7 +167,7 @@ func TestTenantSharesProtectSmallTenant(t *testing.T) {
 		return cfg
 	}
 	run := func(shares bool) (small, big TenantMetrics) {
-		res := MustLookup("shinjuku").New().Run(overloaded(shares))
+		res := MustLookup("shinjuku").Build(Options{}).Run(overloaded(shares))
 		if res.Dropped == 0 {
 			t.Fatal("overload config did not overflow the RX ring")
 		}
@@ -229,29 +229,5 @@ func TestTenantSLOPrecedence(t *testing.T) {
 	}
 	if got := tbl[1*nc+pay]; got != sim.Micros(200) {
 		t.Errorf("small/Payment SLO %v, want tenant:* key 200µs (beats class key)", got)
-	}
-}
-
-// TestWithArrivals checks the sweep wrapper: it overrides the arrival
-// process and tenants without touching the wrapped machine's name, so
-// sweep tables stay keyed by system.
-func TestWithArrivals(t *testing.T) {
-	base := MustLookup("tq").New()
-	tenants := []workload.Tenant{{Name: "a", Ratio: 0.6}, {Name: "b", Ratio: 0.4}}
-	m := WithArrivals(base, "mmpp:burst=5,duty=0.2,cycle=500us", tenants)
-	if m.Name() != base.Name() {
-		t.Fatalf("WithArrivals changed the display name to %q", m.Name())
-	}
-	cfg := tenantConfig(false)
-	cfg.Tenants = nil
-	res := m.Run(cfg)
-	if len(res.PerTenant) != 2 {
-		t.Fatalf("wrapper did not apply tenants: PerTenant has %d entries", len(res.PerTenant))
-	}
-	if res.Config.Arrivals != "mmpp:burst=5,duty=0.2,cycle=500us" {
-		t.Fatalf("wrapper did not apply arrivals: %q", res.Config.Arrivals)
-	}
-	if res.Tenant("a") == nil || res.Tenant("nope") != nil {
-		t.Fatal("Result.Tenant lookup broken")
 	}
 }

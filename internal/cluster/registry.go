@@ -1,17 +1,40 @@
 package cluster
 
 import (
+	"fmt"
+
+	"repro/internal/pifo"
 	"repro/internal/sim"
 )
 
 // The registry is the front door to the machine catalogue: every
-// machine model and variant registers a stable name plus constructors
-// for its calibrated default parameters, so sweep drivers, comparison
-// tools, and command-line flags can enumerate and select machines
-// without hard-coding constructor lists. Custom parameterizations still
-// go through the typed constructors (NewTQ, NewShinjuku, ...); the
-// registry covers the common case of "run the paper's configuration of
-// machine X by name".
+// machine model and variant registers a stable name plus one constructor
+// from Options, so sweep drivers, comparison tools, and command-line
+// flags can enumerate and select machines without hard-coding
+// constructor lists. Custom parameterizations still go through the typed
+// constructors (NewTQ, NewShinjuku, ...); the registry covers the common
+// case of "run the paper's configuration of machine X by name", varied
+// along the two axes the figures vary.
+
+// Options are the knobs a registry machine can be built with. The zero
+// value is the paper's configuration of every entry.
+type Options struct {
+	// Quantum, when non-zero, overrides the preemption quantum — for
+	// machines whose paper configuration picks the quantum per workload
+	// (Shinjuku runs at its per-workload sweet spot; §5.1).
+	Quantum sim.Time
+	// Discipline, when non-empty, overrides the queue order with a pifo
+	// discipline by name (pifo.Names: rr, fcfs, srpt, edf, las, prio-age).
+	Discipline string
+}
+
+// quantum is the option's quantum, or def when unset.
+func (o Options) quantum(def sim.Time) sim.Time {
+	if o.Quantum != 0 {
+		return o.Quantum
+	}
+	return def
+}
 
 // Entry is one registered machine.
 type Entry struct {
@@ -21,21 +44,45 @@ type Entry struct {
 	Name string
 	// Summary is a one-line description for listings.
 	Summary string
-	// New constructs the machine with its calibrated default
-	// parameters (the paper's configuration).
-	New func() Machine
-	// NewQ, when non-nil, constructs the machine with an explicit
-	// preemption quantum — for machines whose paper configuration picks
-	// the quantum per workload (Shinjuku runs at its per-workload sweet
-	// spot; §5.1). Nil for machines without a quantum knob.
-	NewQ func(q sim.Time) Machine
-	// NewD, when non-nil, constructs the machine with an explicit queue
-	// discipline (a pifo.Names name: rr, fcfs, srpt, edf, las,
-	// prio-age) — the second registry dimension, for machines whose
-	// queues were rewired onto internal/pifo. Nil for machines whose
-	// queue order is their identity (Shinjuku's and Caladan's FCFS) or
-	// fixed by construction (the oracle).
-	NewD func(discipline string) Machine
+	// TakesQuantum and TakesDiscipline say which Options the machine
+	// honours. A machine without a preemption quantum (run-to-completion
+	// Caladan, the oracle) or with per-class quanta (tq-timing) takes no
+	// Quantum; one whose queue order is its identity (Shinjuku's and
+	// Caladan's FCFS, tq-las) or fixed by construction (the oracle) takes
+	// no Discipline.
+	TakesQuantum, TakesDiscipline bool
+	// Make constructs the machine from options Check has passed; call
+	// Build, not Make.
+	Make func(Options) Machine
+}
+
+// Check reports whether the entry can be built under o: asking for a
+// knob the entry does not have, or for an unknown discipline, is an
+// error naming both. The zero Options always passes.
+func (e Entry) Check(o Options) error {
+	if o.Quantum != 0 && !e.TakesQuantum {
+		return fmt.Errorf("cluster: machine %q has no quantum knob", e.Name)
+	}
+	if o.Discipline != "" {
+		if !e.TakesDiscipline {
+			return fmt.Errorf("cluster: machine %q has no discipline knob", e.Name)
+		}
+		if _, err := pifo.Parse(o.Discipline); err != nil {
+			return fmt.Errorf("cluster: machine %q: %w", e.Name, err)
+		}
+	}
+	return nil
+}
+
+// Build constructs the entry's machine under the given options; the zero
+// Options builds the calibrated default (the paper's configuration). It
+// panics with Check's error, so callers handing on options they did not
+// choose themselves (a command-line flag) Check first.
+func (e Entry) Build(o Options) Machine {
+	if err := e.Check(o); err != nil {
+		panic(err.Error())
+	}
+	return e.Make(o)
 }
 
 // nodeMachine is implemented by machines that can bind to a shared
@@ -49,7 +96,7 @@ type nodeMachine interface {
 // Every registry machine does except "caladan-ws", whose best-of-both
 // judging needs two complete standalone runs per configuration.
 func (e Entry) CanNode() bool {
-	_, ok := e.New().(nodeMachine)
+	_, ok := e.Build(Options{}).(nodeMachine)
 	return ok
 }
 
@@ -57,7 +104,7 @@ func (e Entry) CanNode() bool {
 // parameters, bound to the given shared engine as a Node. It panics if
 // the machine has no Node form (CanNode reports false).
 func (e Entry) NewNode(eng *sim.Engine, cfg RunConfig) Node {
-	nm, ok := e.New().(nodeMachine)
+	nm, ok := e.Build(Options{}).(nodeMachine)
 	if !ok {
 		panic("cluster: machine " + e.Name + " cannot run as a node")
 	}
@@ -73,8 +120,8 @@ var registry = struct {
 // or incomplete entry — registration happens at init time, so a panic
 // is a programming error surfacing immediately.
 func Register(e Entry) {
-	if e.Name == "" || e.New == nil {
-		panic("cluster: Register needs a name and a default constructor")
+	if e.Name == "" || e.Make == nil {
+		panic("cluster: Register needs a name and a constructor")
 	}
 	if _, dup := registry.entries[e.Name]; dup {
 		panic("cluster: duplicate machine registration: " + e.Name)
@@ -117,144 +164,138 @@ func joinNames() string {
 	return s
 }
 
-// tqQ parameterizes the default TQ configuration by quantum.
-func tqQ(q sim.Time) TQParams {
+// tqParams is the default TQ configuration under the options.
+func tqParams(o Options) TQParams {
 	p := NewTQParams()
-	p.Quantum = q
+	p.Quantum = o.quantum(p.Quantum)
+	p.Discipline = o.Discipline
 	return p
 }
 
-// tqD parameterizes the default TQ configuration by worker discipline.
-func tqD(d string) TQParams {
-	p := NewTQParams()
-	p.Discipline = d
-	return p
-}
-
-// dfD parameterizes the default d-FCFS configuration by queue
-// discipline.
-func dfD(d string) DFCFSParams {
-	p := NewDFCFSParams()
-	p.Discipline = d
-	return p
-}
-
-// tlsD parameterizes the idealized TLS machine by worker discipline.
-func tlsD(balancer BalancerKind, d string) Machine {
-	m := NewIdealTLS(16, sim.Micros(1), balancer)
-	m.P.Discipline = d
-	return NewTQ(m.P).Named(disciplineName(m.Name(), d))
+// idealTLS is the idealized TLS machine under the options.
+func idealTLS(balancer BalancerKind, o Options) Machine {
+	m := NewIdealTLS(16, o.quantum(sim.Micros(1)), balancer)
+	m.P.Discipline = o.Discipline
+	return NewTQ(m.P).Named(disciplineName(m.Name(), o.Discipline))
 }
 
 func init() {
 	Register(Entry{
-		Name:    "tq",
-		Summary: "TQ: two-level scheduling + forced multitasking (paper default)",
-		New:     func() Machine { return NewTQ(NewTQParams()) },
-		NewQ:    func(q sim.Time) Machine { return NewTQ(tqQ(q)) },
-		NewD:    func(d string) Machine { return NewTQ(tqD(d)) },
+		Name:            "tq",
+		Summary:         "TQ: two-level scheduling + forced multitasking (paper default)",
+		TakesQuantum:    true,
+		TakesDiscipline: true,
+		Make:            func(o Options) Machine { return NewTQ(tqParams(o)) },
 	})
 	Register(Entry{
-		Name:    "tq-las",
-		Summary: "TQ with least-attained-service worker scheduling",
-		New:     func() Machine { return NewTQLAS(NewTQParams()) },
-		NewQ:    func(q sim.Time) Machine { return NewTQLAS(tqQ(q)) },
+		Name:         "tq-las",
+		Summary:      "TQ with least-attained-service worker scheduling",
+		TakesQuantum: true,
+		Make:         func(o Options) Machine { return NewTQLAS(tqParams(o)) },
 	})
 	Register(Entry{
-		Name:    "tq-ic",
-		Summary: "TQ variant probed by instruction-counter instrumentation (≈60% overhead)",
-		New:     func() Machine { return NewTQIC(NewTQParams()) },
-		NewQ:    func(q sim.Time) Machine { return NewTQIC(tqQ(q)) },
+		Name:         "tq-ic",
+		Summary:      "TQ variant probed by instruction-counter instrumentation (≈60% overhead)",
+		TakesQuantum: true,
+		Make:         func(o Options) Machine { return NewTQIC(tqParams(o)) },
 	})
 	Register(Entry{
-		Name:    "tq-slow-yield",
-		Summary: "TQ variant with 1µs added to every coroutine yield",
-		New:     func() Machine { return NewTQSlowYield(NewTQParams()) },
-		NewQ:    func(q sim.Time) Machine { return NewTQSlowYield(tqQ(q)) },
+		Name:         "tq-slow-yield",
+		Summary:      "TQ variant with 1µs added to every coroutine yield",
+		TakesQuantum: true,
+		Make:         func(o Options) Machine { return NewTQSlowYield(tqParams(o)) },
 	})
 	Register(Entry{
 		Name:    "tq-timing",
 		Summary: "TQ variant with inaccurate per-class preemption timing",
-		New:     func() Machine { return NewTQTiming(NewTQParams()) },
+		Make:    func(Options) Machine { return NewTQTiming(NewTQParams()) },
 	})
 	Register(Entry{
 		Name:    "tq-rand",
 		Summary: "TQ variant with random dispatcher load balancing",
-		New:     func() Machine { return NewTQRand(NewTQParams()) },
+		Make:    func(Options) Machine { return NewTQRand(NewTQParams()) },
 	})
 	Register(Entry{
 		Name:    "tq-power-two",
 		Summary: "TQ variant with power-of-two-choices load balancing",
-		New:     func() Machine { return NewTQPowerTwo(NewTQParams()) },
+		Make:    func(Options) Machine { return NewTQPowerTwo(NewTQParams()) },
 	})
 	Register(Entry{
 		Name:    "tq-fcfs",
 		Summary: "TQ variant with run-to-completion workers (no preemption)",
-		New:     func() Machine { return NewTQFCFS(NewTQParams()) },
+		Make:    func(Options) Machine { return NewTQFCFS(NewTQParams()) },
 	})
 	Register(Entry{
-		Name:    "shinjuku",
-		Summary: "Shinjuku: centralized single queue + IPI preemption",
-		New:     func() Machine { return NewShinjuku(NewShinjukuParams(sim.Micros(5))) },
-		NewQ:    func(q sim.Time) Machine { return NewShinjuku(NewShinjukuParams(q)) },
+		Name:         "shinjuku",
+		Summary:      "Shinjuku: centralized single queue + IPI preemption",
+		TakesQuantum: true,
+		Make:         func(o Options) Machine { return NewShinjuku(NewShinjukuParams(o.quantum(sim.Micros(5)))) },
 	})
 	Register(Entry{
-		Name:    "concord",
-		Summary: "Concord: centralized scheduling, cache-line-flag preemption",
-		New:     func() Machine { return NewConcord(sim.Micros(5)) },
-		NewQ:    func(q sim.Time) Machine { return NewConcord(q) },
+		Name:         "concord",
+		Summary:      "Concord: centralized scheduling, cache-line-flag preemption",
+		TakesQuantum: true,
+		Make:         func(o Options) Machine { return NewConcord(o.quantum(sim.Micros(5))) },
 	})
 	Register(Entry{
-		Name:    "libpreemptible",
-		Summary: "LibPreemptible: per-worker UINTR preemption, ≥3µs quanta",
-		New:     func() Machine { return NewLibPreemptible(NewTQParams()) },
-		NewQ:    func(q sim.Time) Machine { return NewLibPreemptible(tqQ(q)) },
+		Name:         "libpreemptible",
+		Summary:      "LibPreemptible: per-worker UINTR preemption, ≥3µs quanta",
+		TakesQuantum: true,
+		Make:         func(o Options) Machine { return NewLibPreemptible(tqParams(o)) },
 	})
 	Register(Entry{
 		Name:    "caladan-iokernel",
 		Summary: "Caladan in IOKernel mode: FCFS run-to-completion, central packet core",
-		New:     func() Machine { return NewCaladan(NewCaladanParams(IOKernel)) },
+		Make:    func(Options) Machine { return NewCaladan(NewCaladanParams(IOKernel)) },
 	})
 	Register(Entry{
 		Name:    "caladan-directpath",
 		Summary: "Caladan in directpath mode: FCFS run-to-completion, NIC-direct workers",
-		New:     func() Machine { return NewCaladan(NewCaladanParams(Directpath)) },
+		Make:    func(Options) Machine { return NewCaladan(NewCaladanParams(Directpath)) },
 	})
 	Register(Entry{
 		Name:    "caladan-ws",
 		Summary: "Caladan reporting the better of its two modes per configuration",
-		New:     func() Machine { return NewBestCaladan("") },
+		Make:    func(Options) Machine { return NewBestCaladan("") },
 	})
 	Register(Entry{
-		Name:    "ct-ps",
-		Summary: "Idealized centralized processor sharing (free scheduler)",
-		New:     func() Machine { return NewCentralizedPS(16, sim.Micros(2), 0) },
-		NewQ:    func(q sim.Time) Machine { return NewCentralizedPS(16, q, 0) },
-		NewD:    func(d string) Machine { return NewCentralizedPS(16, sim.Micros(2), 0).WithDiscipline(d) },
+		Name:            "ct-ps",
+		Summary:         "Idealized centralized processor sharing (free scheduler)",
+		TakesQuantum:    true,
+		TakesDiscipline: true,
+		Make: func(o Options) Machine {
+			m := NewCentralizedPS(16, o.quantum(sim.Micros(2)), 0)
+			m.Discipline = o.Discipline
+			return m
+		},
 	})
 	Register(Entry{
-		Name:    "tls-jsq-msq",
-		Summary: "Idealized two-level scheduling, JSQ with MSQ tie-breaking",
-		New:     func() Machine { return NewIdealTLS(16, sim.Micros(1), BalanceJSQMSQ) },
-		NewQ:    func(q sim.Time) Machine { return NewIdealTLS(16, q, BalanceJSQMSQ) },
-		NewD:    func(d string) Machine { return tlsD(BalanceJSQMSQ, d) },
+		Name:            "tls-jsq-msq",
+		Summary:         "Idealized two-level scheduling, JSQ with MSQ tie-breaking",
+		TakesQuantum:    true,
+		TakesDiscipline: true,
+		Make:            func(o Options) Machine { return idealTLS(BalanceJSQMSQ, o) },
 	})
 	Register(Entry{
-		Name:    "tls-jsq-rand",
-		Summary: "Idealized two-level scheduling, JSQ with random tie-breaking",
-		New:     func() Machine { return NewIdealTLS(16, sim.Micros(1), BalanceJSQRandom) },
-		NewQ:    func(q sim.Time) Machine { return NewIdealTLS(16, q, BalanceJSQRandom) },
-		NewD:    func(d string) Machine { return tlsD(BalanceJSQRandom, d) },
+		Name:            "tls-jsq-rand",
+		Summary:         "Idealized two-level scheduling, JSQ with random tie-breaking",
+		TakesQuantum:    true,
+		TakesDiscipline: true,
+		Make:            func(o Options) Machine { return idealTLS(BalanceJSQRandom, o) },
 	})
 	Register(Entry{
-		Name:    "d-fcfs",
-		Summary: "Decentralized FCFS: per-worker NIC queues, no preemption, no stealing",
-		New:     func() Machine { return NewDFCFS(NewDFCFSParams()) },
-		NewD:    func(d string) Machine { return NewDFCFS(dfD(d)) },
+		Name:            "d-fcfs",
+		Summary:         "Decentralized FCFS: per-worker NIC queues, no preemption, no stealing",
+		TakesDiscipline: true,
+		Make: func(o Options) Machine {
+			p := NewDFCFSParams()
+			p.Discipline = o.Discipline
+			return NewDFCFS(p)
+		},
 	})
 	Register(Entry{
 		Name:    "oracle-srpt",
 		Summary: "Clairvoyant preemptive SRPT with zero overheads (UPS-style optimality baseline)",
-		New:     func() Machine { return NewOracle(16) },
+		Make:    func(Options) Machine { return NewOracle(16) },
 	})
 }

@@ -13,7 +13,7 @@ import (
 // path — generator draw, pump chaining, RX gating, obs emission, pooled
 // job construction — and none of any real machine's scheduling, so it
 // is the instrument for measuring (and guarding) that path's cost.
-// MeasureArrivalPump and cmd/tqbench run on it; it is deliberately not
+// MeasureArrivalPump and benchmark/ run on it; it is deliberately not
 // in the machine registry, since it models no system from the paper.
 type Sink struct {
 	// arrivals counts admitted requests across the machine's runs.

@@ -7,15 +7,13 @@ import (
 	"time"
 
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // RatesUpTo returns n evenly spaced rates from max/n to max — the
 // standard sweep grid used by the figure drivers. Degenerate inputs
 // panic: n <= 0 would silently produce an empty grid (and max <= 0 a
-// grid of invalid rates) that every downstream consumer — pointConfig,
+// grid of invalid rates) that every downstream consumer — stamp,
 // RunConfig.validate, series extraction — only rejects later, far from
 // the actual mistake.
 func RatesUpTo(max float64, n int) []float64 {
@@ -32,41 +30,39 @@ func RatesUpTo(max float64, n int) []float64 {
 	return rates
 }
 
-// pointConfig is the RunConfig for point i of a sweep rooted at seed.
-// Every sweep path — sequential, pooled curve, knee chain — builds its
-// configurations here, so they all run exactly the same simulations:
-// each point gets its own seed, derived from (seed, i), rather than
-// sharing one seed across the curve (which would correlate the arrival
-// streams of every point and make the curve's noise systematic instead
-// of independent).
-func pointConfig(w *workload.Workload, rates []float64, i int, dur, warm sim.Time, seed uint64) RunConfig {
-	return RunConfig{
-		Workload: w,
-		Rate:     rates[i],
-		Duration: dur,
-		Warmup:   warm,
-		Seed:     rng.PointSeed(seed, uint64(i)),
+// stamp turns a template into a sweep's point configurations: point i
+// is base with Rate = rates[i] and Seed = rng.PointSeed(base.Seed, i),
+// every other field (SLOs, Arrivals, Tenants, Duration, Warmup) carried
+// through. Every sweep path — sequential, pooled curve, knee chain —
+// builds its configurations here, so they all run exactly the same
+// simulations: each point gets its own derived seed rather than sharing
+// one across the curve (which would correlate the arrival streams of
+// every point and make the curve's noise systematic instead of
+// independent). A template carrying an Obs recorder is rejected: points
+// may run concurrently and must not share one (see RunConfig.Obs).
+func stamp(base RunConfig, rates []float64) []RunConfig {
+	if base.Obs != nil {
+		panic("cluster: a sweep template must not carry an Obs recorder; record single runs")
 	}
-}
-
-// pointConfigs is pointConfig over the whole grid.
-func pointConfigs(w *workload.Workload, rates []float64, dur, warm sim.Time, seed uint64) []RunConfig {
 	cfgs := make([]RunConfig, len(rates))
-	for i := range rates {
-		cfgs[i] = pointConfig(w, rates, i, dur, warm, seed)
+	for i, rate := range rates {
+		cfgs[i] = base
+		cfgs[i].Rate = rate
+		cfgs[i].Seed = rng.PointSeed(base.Seed, uint64(i))
 	}
 	return cfgs
 }
 
-// Sweep runs the machine at every rate and returns one Result per
-// point, in rate order. Workload definitions are stateless, so the same
-// value is shared across runs; each run constructs its own generator.
-// Each point runs under its own derived seed (see pointConfig), so
-// ParallelSweep with any worker count reproduces this series exactly.
-func Sweep(m Machine, w *workload.Workload, rates []float64, dur, warm sim.Time, seed uint64) []*Result {
+// Sweep runs the machine at every rate of the grid stamped from the
+// template base (see stamp) and returns one Result per point, in rate
+// order. Workload definitions are stateless, so the same value is shared
+// across runs; each run constructs its own generator. It is the
+// sequential reference for Plan.Sweep, which stamps its points
+// identically and so reproduces this series for any worker count.
+func Sweep(m Machine, base RunConfig, rates []float64) []*Result {
 	out := make([]*Result, 0, len(rates))
-	for i := range rates {
-		out = append(out, m.Run(pointConfig(w, rates, i, dur, warm, seed)))
+	for _, cfg := range stamp(base, rates) {
+		out = append(out, m.Run(cfg))
 	}
 	return out
 }
@@ -204,10 +200,11 @@ func (p *Plan) Points(cfgs []RunConfig, run func(i int, cfg RunConfig) *Result) 
 }
 
 // Sweep declares one load curve: a fresh machine from mf at every rate,
-// point i seeded rng.PointSeed(seed, i) exactly as the sequential Sweep
-// seeds it, so the curve's Results equal Sweep's for any pool size.
-func (p *Plan) Sweep(mf MachineFactory, w *workload.Workload, rates []float64, dur, warm sim.Time, seed uint64) *Curve {
-	return p.Points(pointConfigs(w, rates, dur, warm, seed), func(_ int, cfg RunConfig) *Result {
+// the points stamped from the template base exactly as the sequential
+// Sweep stamps them, so the curve's Results equal Sweep's for any pool
+// size.
+func (p *Plan) Sweep(mf MachineFactory, base RunConfig, rates []float64) *Curve {
+	return p.Points(stamp(base, rates), func(_ int, cfg RunConfig) *Result {
 		return mf().Run(cfg)
 	})
 }
@@ -277,9 +274,9 @@ func (k *Knee) Rate() float64 {
 }
 
 // MaxRateUnder declares a knee search as a chain over the ascending
-// rate grid, seeded as Sweep seeds it.
-func (p *Plan) MaxRateUnder(mf MachineFactory, w *workload.Workload, rates []float64, dur, warm sim.Time, seed uint64, ok func(*Result) bool) *Knee {
-	chain := p.Chain(pointConfigs(w, rates, dur, warm, seed), func(_ int, cfg RunConfig) (*Result, bool) {
+// rate grid, stamped from the template as Sweep stamps it.
+func (p *Plan) MaxRateUnder(mf MachineFactory, base RunConfig, rates []float64, ok func(*Result) bool) *Knee {
+	chain := p.Chain(stamp(base, rates), func(_ int, cfg RunConfig) (*Result, bool) {
 		r := mf().Run(cfg)
 		return r, ok(r)
 	})
@@ -397,17 +394,6 @@ func (p *Plan) execute(pt *planPoint) {
 	})
 }
 
-// ParallelSweep is Sweep on a worker pool: a one-curve Plan. Each point
-// gets a fresh Machine from the factory and its own derived seed, which
-// makes the returned series — in rate order — identical to Sweep's for
-// any worker count, including Workers=1.
-func ParallelSweep(mf MachineFactory, w *workload.Workload, rates []float64, dur, warm sim.Time, seed uint64, opt SweepOptions) []*Result {
-	p := NewPlan(opt)
-	c := p.Sweep(mf, w, rates, dur, warm, seed)
-	p.Run()
-	return c.Results
-}
-
 // LatencySeries extracts a (rate, p99.9 end-to-end µs) curve for one
 // class from sweep results, the y-axis of the cross-system figures.
 func LatencySeries(label, class string, results []*Result) stats.Series {
@@ -477,16 +463,15 @@ func DropRateSeries(label string, results []*Result) stats.Series {
 // rate whose result satisfies ok, stopping at the first violation
 // (latency-vs-load curves are monotone once they knee). Returns 0 if
 // even the lowest rate violates. It is the sequential reference for
-// Plan.MaxRateUnder, which seeds its points identically and so finds the
+// Plan.MaxRateUnder, which stamps its points identically and so finds the
 // same knee.
-func MaxRateUnder(m Machine, w *workload.Workload, rates []float64, dur, warm sim.Time, seed uint64, ok func(*Result) bool) float64 {
+func MaxRateUnder(m Machine, base RunConfig, rates []float64, ok func(*Result) bool) float64 {
 	best := 0.0
-	for i := range rates {
-		r := m.Run(pointConfig(w, rates, i, dur, warm, seed))
-		if !ok(r) {
+	for _, cfg := range stamp(base, rates) {
+		if !ok(m.Run(cfg)) {
 			break
 		}
-		best = rates[i]
+		best = cfg.Rate
 	}
 	return best
 }

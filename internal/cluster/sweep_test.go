@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -20,10 +21,24 @@ const (
 
 func tqFactory() Machine { return NewTQ(NewTQParams()) }
 
+// sweepBase is the tests' sweep template: w at the test durations, rooted
+// at seed.
+func sweepBase(w *workload.Workload, seed uint64) RunConfig {
+	return RunConfig{Workload: w, Duration: sweepDur, Warmup: sweepWarm, Seed: seed}
+}
+
+// planSweep runs one curve on its own plan: Plan.Sweep, Run, Results.
+func planSweep(mf MachineFactory, base RunConfig, rates []float64, opt SweepOptions) []*Result {
+	p := NewPlan(opt)
+	c := p.Sweep(mf, base, rates)
+	p.Run()
+	return c.Results
+}
+
 func TestSweepUsesPerPointSeeds(t *testing.T) {
 	w := workload.HighBimodal()
 	rates := RatesUpTo(0.6*w.MaxLoad(16), 3)
-	results := Sweep(NewTQ(NewTQParams()), w, rates, sweepDur, sweepWarm, 1)
+	results := Sweep(NewTQ(NewTQParams()), sweepBase(w, 1), rates)
 	seen := map[uint64]bool{}
 	for i, r := range results {
 		if r.Config.Seed == 1 {
@@ -39,13 +54,58 @@ func TestSweepUsesPerPointSeeds(t *testing.T) {
 	}
 }
 
+// TestStampCarriesTheTemplate pins what a sweep point is: the template
+// with Rate and Seed replaced — SLOs, arrival process and tenants arrive
+// in every point's Result — and that a template carrying a recorder is
+// refused where the sweep is declared.
+func TestStampCarriesTheTemplate(t *testing.T) {
+	w := workload.HighBimodal()
+	base := sweepBase(w, 9)
+	base.SLOs = map[string]sim.Time{"*": sim.Micros(50)}
+	base.Arrivals = "mmpp:burst=5,duty=0.2,cycle=500us"
+	base.Tenants = []workload.Tenant{{Name: "a", Ratio: 0.6}, {Name: "b", Ratio: 0.4}}
+	rates := RatesUpTo(0.5*w.MaxLoad(16), 3)
+	cfgs := stamp(base, rates)
+	for i, cfg := range cfgs {
+		want := base
+		want.Rate, want.Seed = rates[i], rng.PointSeed(base.Seed, uint64(i))
+		if !reflect.DeepEqual(cfg, want) {
+			t.Errorf("point %d is %+v, want the template with only Rate and Seed replaced: %+v", i, cfg, want)
+		}
+	}
+	for i, res := range planSweep(tqFactory, base, rates, SweepOptions{}) {
+		if !reflect.DeepEqual(res.Config, cfgs[i]) {
+			t.Errorf("point %d ran under %+v, want %+v", i, res.Config, cfgs[i])
+		}
+		if len(res.PerTenant) != 2 || res.Tenant("a") == nil || res.Tenant("nope") != nil {
+			t.Errorf("point %d: the template's tenants did not reach the run: %+v", i, res.PerTenant)
+		}
+	}
+
+	base.Obs = obs.NewRing(16)
+	for name, declare := range map[string]func(){
+		"Sweep":             func() { Sweep(tqFactory(), base, rates) },
+		"MaxRateUnder":      func() { MaxRateUnder(tqFactory(), base, rates, func(*Result) bool { return true }) },
+		"Plan.Sweep":        func() { NewPlan(SweepOptions{}).Sweep(tqFactory, base, rates) },
+		"Plan.MaxRateUnder": func() { NewPlan(SweepOptions{}).MaxRateUnder(tqFactory, base, rates, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a template with an Obs recorder", name)
+				}
+			}()
+			declare()
+		}()
+	}
+}
+
 func TestParallelSweepMatchesSequentialExactly(t *testing.T) {
 	w := workload.HighBimodal()
 	rates := RatesUpTo(0.7*w.MaxLoad(16), 4)
-	seq := Sweep(NewTQ(NewTQParams()), w, rates, sweepDur, sweepWarm, 7)
+	seq := Sweep(NewTQ(NewTQParams()), sweepBase(w, 7), rates)
 	for _, workers := range []int{1, 2, 4, 0} {
-		par := ParallelSweep(tqFactory, w, rates, sweepDur, sweepWarm, 7,
-			SweepOptions{Workers: workers})
+		par := planSweep(tqFactory, sweepBase(w, 7), rates, SweepOptions{Workers: workers})
 		if len(par) != len(seq) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(par), len(seq))
 		}
@@ -65,10 +125,10 @@ func TestParallelSweepFreshMachinePerPoint(t *testing.T) {
 	w := workload.HighBimodal()
 	rates := RatesUpTo(0.5*w.MaxLoad(16), 3)
 	built := 0
-	ParallelSweep(func() Machine {
+	planSweep(func() Machine {
 		built++
 		return NewTQ(NewTQParams())
-	}, w, rates, sweepDur, sweepWarm, 1, SweepOptions{Workers: 1})
+	}, sweepBase(w, 1), rates, SweepOptions{Workers: 1})
 	if built != len(rates) {
 		t.Fatalf("factory invoked %d times for %d points", built, len(rates))
 	}
@@ -78,7 +138,7 @@ func TestParallelSweepProgress(t *testing.T) {
 	w := workload.HighBimodal()
 	rates := RatesUpTo(0.5*w.MaxLoad(16), 4)
 	var points []SweepPoint
-	ParallelSweep(tqFactory, w, rates, sweepDur, sweepWarm, 1, SweepOptions{
+	planSweep(tqFactory, sweepBase(w, 1), rates, SweepOptions{
 		Workers: 2,
 		OnPoint: func(p SweepPoint) { points = append(points, p) },
 	})
@@ -133,7 +193,7 @@ func TestRatesUpToRejectsDegenerateInputs(t *testing.T) {
 
 func TestParallelSweepEmptyGrid(t *testing.T) {
 	w := workload.HighBimodal()
-	out := ParallelSweep(tqFactory, w, nil, sweepDur, sweepWarm, 1, SweepOptions{})
+	out := planSweep(tqFactory, sweepBase(w, 1), nil, SweepOptions{})
 	if len(out) != 0 {
 		t.Fatalf("empty grid returned %d results", len(out))
 	}
@@ -176,7 +236,10 @@ func (m stubMachine) Run(cfg RunConfig) *Result {
 // requires every Result to equal the sequential Sweep's, field for
 // field, for 1, 2, 3 and 8 workers and with the start order reversed.
 func TestPlanInvariantToWorkersAndStartOrder(t *testing.T) {
-	const dur, warm = 4 * sim.Millisecond, 400 * sim.Microsecond
+	const dur = 4 * sim.Millisecond
+	base := func(w *workload.Workload) RunConfig {
+		return RunConfig{Workload: w, Duration: dur, Warmup: 400 * sim.Microsecond, Seed: 7}
+	}
 	type curveSpec struct {
 		mf    MachineFactory
 		w     *workload.Workload
@@ -195,7 +258,7 @@ func TestPlanInvariantToWorkersAndStartOrder(t *testing.T) {
 	}
 	want := make([][]*Result, len(specs))
 	for i, s := range specs {
-		want[i] = Sweep(s.mf(), s.w, s.rates, dur, warm, 7)
+		want[i] = Sweep(s.mf(), base(s.w), s.rates)
 	}
 
 	run := func(workers int, reversed bool) {
@@ -205,7 +268,7 @@ func TestPlanInvariantToWorkersAndStartOrder(t *testing.T) {
 		}})
 		curves := make([]*Curve, len(specs))
 		for i, s := range specs {
-			curves[i] = p.Sweep(s.mf, s.w, s.rates, dur, warm, 7)
+			curves[i] = p.Sweep(s.mf, base(s.w), s.rates)
 		}
 		if reversed {
 			for _, pt := range p.free {
@@ -264,7 +327,7 @@ func TestPlanMaxRateUnderMatchesSequential(t *testing.T) {
 	}
 	want := make([]float64, len(searches))
 	for i, s := range searches {
-		want[i] = MaxRateUnder(s.mf(), w, rates, sweepDur, sweepWarm, 1, s.ok)
+		want[i] = MaxRateUnder(s.mf(), sweepBase(w, 1), rates, s.ok)
 	}
 	if want[0] <= 0 || want[0] >= rates[len(rates)-1] {
 		t.Fatalf("SLO knee %v not inside the grid (too coarse for the test)", want[0])
@@ -276,7 +339,7 @@ func TestPlanMaxRateUnderMatchesSequential(t *testing.T) {
 		p := NewPlan(SweepOptions{Workers: workers})
 		knees := make([]*Knee, len(searches))
 		for i, s := range searches {
-			knees[i] = p.MaxRateUnder(s.mf, w, rates, sweepDur, sweepWarm, 1, s.ok)
+			knees[i] = p.MaxRateUnder(s.mf, sweepBase(w, 1), rates, s.ok)
 		}
 		p.Run()
 		for i, s := range searches {
@@ -293,7 +356,7 @@ func TestPlanMaxRateUnderMatchesSequential(t *testing.T) {
 func chainGrid(p *Plan, chains, n int, knee func(c int) int) (built [][]int, handles []*Chain) {
 	w := workload.ExtremeBimodal()
 	rates := RatesUpTo(w.MaxLoad(16), n)
-	cfgs := pointConfigs(w, rates, sweepDur, sweepWarm, 1)
+	cfgs := stamp(sweepBase(w, 1), rates)
 	built = make([][]int, chains)
 	var mu sync.Mutex
 	for c := 0; c < chains; c++ {
@@ -428,11 +491,11 @@ func TestPlanOnPoint(t *testing.T) {
 		inCallback.Add(-1)
 	}})
 	// Seeds 100 and 200 root the curves, 300.. the chains.
-	p.Sweep(stub, w, rates, sweepDur, sweepWarm, 100)
-	p.Sweep(stub, w, rates, sweepDur, sweepWarm, 200)
+	p.Sweep(stub, sweepBase(w, 100), rates)
+	p.Sweep(stub, sweepBase(w, 200), rates)
 	for c := 0; c < 3; c++ {
 		knee := rates[c+1]
-		p.MaxRateUnder(stub, w, rates, sweepDur, sweepWarm, uint64(300+c), func(r *Result) bool { return r.Config.Rate < knee })
+		p.MaxRateUnder(stub, sweepBase(w, uint64(300+c)), rates, func(r *Result) bool { return r.Config.Rate < knee })
 	}
 	p.Run()
 
@@ -478,7 +541,7 @@ func TestSweepPointWallExcludesOtherCallbacks(t *testing.T) {
 	const slow = 60 * time.Millisecond
 	w := workload.ExtremeBimodal()
 	var walls []time.Duration
-	ParallelSweep(func() Machine { return stubMachine{} }, w, RatesUpTo(w.MaxLoad(16), 4), sweepDur, sweepWarm, 1,
+	planSweep(func() Machine { return stubMachine{} }, sweepBase(w, 1), RatesUpTo(w.MaxLoad(16), 4),
 		SweepOptions{Workers: 4, OnPoint: func(sp SweepPoint) {
 			walls = append(walls, sp.Wall)
 			time.Sleep(slow)
@@ -497,7 +560,7 @@ func TestPlanEmptyAndSinglePoint(t *testing.T) {
 	NewPlan(SweepOptions{Workers: 8}).Run()
 
 	w := workload.ExtremeBimodal()
-	cfg := pointConfigs(w, []float64{1e6}, sweepDur, sweepWarm, 1)
+	cfg := stamp(sweepBase(w, 1), []float64{1e6})
 	for _, workers := range []int{0, 1, 8} {
 		p := NewPlan(SweepOptions{Workers: workers})
 		curve := p.Points(cfg, func(_ int, cfg RunConfig) *Result { return stubMachine{}.Run(cfg) })

@@ -57,9 +57,6 @@ type TQParams struct {
 	RTT sim.Time
 	// Balancer picks the dispatcher policy.
 	Balancer BalancerKind
-	// Policy selects the worker's quantum-scheduling order: processor
-	// sharing (default) or least attained service.
-	Policy WorkerPolicy
 	// Dispatchers is the number of dispatcher cores (§6 extension);
 	// incoming requests are RSS-steered across them and each runs the
 	// balancing policy over a shared view. Zero means one.
@@ -72,10 +69,12 @@ type TQParams struct {
 	// timing by giving classes wrong quanta (1µs for GET, 3µs for
 	// SCAN against a 2µs target, §5.4).
 	QuantumForClass func(workload.Class) sim.Time
-	// Discipline, when non-empty, overrides the worker queue order with
-	// a pifo discipline by name (pifo.Names); it supersedes Policy.
-	// Empty keeps the Policy default: rr (round-robin PS) for PolicyPS,
-	// las for PolicyLAS — both bit-identical to the pre-pifo queues.
+	// Discipline, when non-empty, sets the worker queue order to a pifo
+	// discipline by name (pifo.Names). Empty is rr: round-robin processor
+	// sharing, the paper's policy; las runs the job with the least
+	// attained service first — approximating SRPT without service-time
+	// knowledge, practical at µs scale because forced multitasking keeps
+	// the quantum tiny.
 	Discipline string
 }
 
@@ -212,14 +211,10 @@ func (t *TQ) RunMeasured(cfg RunConfig) (*Result, stats.RunningMean) {
 // the generator draw (and discards it) so both forms see the same
 // per-seed stream layout.
 func (t *TQ) newRun(cfg RunConfig) (*tqRun, *workload.Stream) {
-	def := pifo.RR
-	if t.P.Policy == PolicyLAS {
-		def = pifo.LAS
-	}
 	r := &tqRun{
 		m:       t,
 		rand:    rng.New(cfg.Seed),
-		rank:    newRanker(parseDiscipline(t.P.Discipline, def), cfg),
+		rank:    newRanker(parseDiscipline(t.P.Discipline, pifo.RR), cfg),
 		workers: make([]tqWorker, t.P.Workers),
 		tracker: core.NewLoadTracker(t.P.Workers, 32),
 	}

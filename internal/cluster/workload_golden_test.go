@@ -47,7 +47,7 @@ func TestGoldenWorkloadEquivalence(t *testing.T) {
 		cfg := goldenWorkloadConfig(w)
 		got[w.Name] = map[string]goldenSummary{}
 		for _, name := range Names() {
-			got[w.Name][name] = summarize(MustLookup(name).New().Run(cfg))
+			got[w.Name][name] = summarize(MustLookup(name).Build(Options{}).Run(cfg))
 		}
 	}
 

@@ -65,20 +65,21 @@ type Scale struct {
 	Tenants []workload.Tenant
 }
 
-// withOverrides applies the scale's workload-plane overrides — SLO
-// targets, arrival process, tenant split — to every machine the
-// factory builds; a no-op when none are set, so default figures stay
-// byte-identical.
-func (sc Scale) withOverrides(mf cluster.MachineFactory) cluster.MachineFactory {
-	if len(sc.SLOs) > 0 {
-		inner := mf
-		mf = func() cluster.Machine { return cluster.WithSLOs(inner(), sc.SLOs) }
+// base is the template every simulating driver builds its run
+// configurations from: the scale's run length and seed plus its
+// workload-plane overrides — SLO targets, arrival process, tenant split —
+// on the given workload. A driver sets Rate (sweeps stamp it, and the
+// per-point seed, from this template), so no figure can drop an override.
+func (sc Scale) base(w *workload.Workload) cluster.RunConfig {
+	return cluster.RunConfig{
+		Workload: w,
+		Arrivals: sc.Arrivals,
+		Tenants:  sc.Tenants,
+		Duration: sc.Duration,
+		Warmup:   sc.Warmup,
+		Seed:     sc.Seed,
+		SLOs:     sc.SLOs,
 	}
-	if sc.Arrivals != "" || len(sc.Tenants) > 0 {
-		inner := mf
-		mf = func() cluster.Machine { return cluster.WithArrivals(inner(), sc.Arrivals, sc.Tenants) }
-	}
-	return mf
 }
 
 // figure is one driver's declare-run-assemble scope: every curve and
@@ -95,13 +96,13 @@ func (sc Scale) figure() *figure {
 
 // sweep declares one load sweep, one fresh machine per point.
 func (f *figure) sweep(mf cluster.MachineFactory, w *workload.Workload, rates []float64) *cluster.Curve {
-	return f.plan.Sweep(f.sc.withOverrides(mf), w, rates, f.sc.Duration, f.sc.Warmup, f.sc.Seed)
+	return f.plan.Sweep(mf, f.sc.base(w), rates)
 }
 
 // maxRateUnder declares a search for the highest rate satisfying ok: a
 // chain that stops at the knee.
 func (f *figure) maxRateUnder(mf cluster.MachineFactory, w *workload.Workload, rates []float64, ok func(*cluster.Result) bool) *cluster.Knee {
-	return f.plan.MaxRateUnder(f.sc.withOverrides(mf), w, rates, f.sc.Duration, f.sc.Warmup, f.sc.Seed, ok)
+	return f.plan.MaxRateUnder(mf, f.sc.base(w), rates, ok)
 }
 
 // system is one curve of a figure: a display label plus a per-point
@@ -218,8 +219,7 @@ func Fig4(sc Scale) []stats.Series {
 	rates := cluster.RatesUpTo(0.9*w.MaxLoad(16), sc.Points)
 	var systems []system
 	for _, name := range []string{"ct-ps", "tls-jsq-msq", "tls-jsq-rand"} {
-		e := cluster.MustLookup(name)
-		systems = append(systems, named(func() cluster.Machine { return e.NewQ(q) }))
+		systems = append(systems, registrySystem("", name, cluster.Options{Quantum: q}))
 	}
 	return sc.sweepSeries(w, rates, systems, cluster.SlowdownSeries, "Long")
 }
@@ -286,18 +286,21 @@ type SystemComparison struct {
 	PerTenant map[string][]stats.Series
 }
 
-// registrySystem resolves a registry name into a comparison column,
-// labelled with the given name. A positive quantum parameterizes the
-// machine through its Entry.NewQ constructor (machines without a
-// quantum knob keep their defaults).
-func registrySystem(label, name string, q sim.Time) system {
+// registrySystem resolves a registry name under the given options into
+// one curve, labelled label or, when that is empty, with the machine's
+// display name. The options must pass the entry's Check.
+func registrySystem(label, name string, o cluster.Options) system {
 	e := cluster.MustLookup(name)
-	mf := e.New
-	if q > 0 && e.NewQ != nil {
-		mf = func() cluster.Machine { return e.NewQ(q) }
+	s := named(func() cluster.Machine { return e.Build(o) })
+	if label != "" {
+		s.label = label
 	}
-	return system{label: label, mf: mf}
+	return s
 }
+
+// oracleSystem is the clairvoyant baseline the optimality-gap curves
+// divide by.
+var oracleSystem = registrySystem("", "oracle-srpt", cluster.Options{})
 
 // compareSystems declares sweeps of TQ, Shinjuku (at its per-workload
 // quantum) and Caladan (better of its two modes per §5.1, judged on the
@@ -306,8 +309,8 @@ func registrySystem(label, name string, q sim.Time) system {
 // registry default judges by throughput.
 func (f *figure) compareSystems(w *workload.Workload, shinjukuQ sim.Time, classes []string, slowdown bool) func() SystemComparison {
 	systems := []system{
-		registrySystem("TQ", "tq", 0),
-		registrySystem("Shinjuku", "shinjuku", shinjukuQ),
+		registrySystem("TQ", "tq", cluster.Options{}),
+		registrySystem("Shinjuku", "shinjuku", cluster.Options{Quantum: shinjukuQ}),
 		{label: "Caladan", mf: func() cluster.Machine { return cluster.NewBestCaladan(classes[0]) }},
 	}
 	return f.compareMachines(w, classes, slowdown, false, systems)
@@ -324,22 +327,15 @@ func (f *figure) comparisons(pending ...func() SystemComparison) []SystemCompari
 	return out
 }
 
-// CompareMachines sweeps registry machines (default parameters, display
-// names as labels) side by side over the workload — the registry-driven
-// generalization behind tqsim -machines. Classes defaulting to all of
-// the workload's. The comparison carries OptimalityGap curves against
-// the clairvoyant oracle-srpt baseline.
-func CompareMachines(sc Scale, w *workload.Workload, classes []string, names ...string) SystemComparison {
-	return CompareMachinesD(sc, w, classes, "", names...)
-}
-
-// CompareMachinesD is CompareMachines with the registry's second
-// dimension: a non-empty discipline (a pifo name: rr, fcfs, srpt, edf,
-// las, prio-age) builds every named machine through its Entry.NewD
-// constructor. It panics if a named entry has no discipline knob —
-// callers exposing this to users (tqsim -discipline) pre-check NewD and
-// report the offending name instead.
-func CompareMachinesD(sc Scale, w *workload.Workload, classes []string, discipline string, names ...string) SystemComparison {
+// CompareMachines sweeps registry machines (display names as labels)
+// side by side over the workload — the registry-driven generalization
+// behind tqsim -machines. Every named machine is built under the same
+// options (the zero Options is each machine's default; a non-empty
+// Discipline is a pifo name: rr, fcfs, srpt, edf, las, prio-age), and a
+// machine that lacks a requested knob is an error naming it. Classes
+// default to all of the workload's. The comparison carries OptimalityGap
+// curves against the clairvoyant oracle-srpt baseline.
+func CompareMachines(sc Scale, w *workload.Workload, classes []string, o cluster.Options, names ...string) (SystemComparison, error) {
 	if len(classes) == 0 {
 		for _, c := range w.Classes {
 			classes = append(classes, c.Name)
@@ -347,19 +343,13 @@ func CompareMachinesD(sc Scale, w *workload.Workload, classes []string, discipli
 	}
 	var systems []system
 	for _, n := range names {
-		e := cluster.MustLookup(n)
-		mf := e.New
-		if discipline != "" {
-			if e.NewD == nil {
-				panic("experiments: machine " + n + " has no discipline knob (Entry.NewD is nil)")
-			}
-			d := discipline
-			mf = func() cluster.Machine { return e.NewD(d) }
+		if err := cluster.MustLookup(n).Check(o); err != nil {
+			return SystemComparison{}, err
 		}
-		systems = append(systems, named(mf))
+		systems = append(systems, registrySystem("", n, o))
 	}
 	f := sc.figure()
-	return f.comparisons(f.compareMachines(w, classes, false, true, systems))[0]
+	return f.comparisons(f.compareMachines(w, classes, false, true, systems))[0], nil
 }
 
 // compareMachines declares one sweep per system and returns the step
@@ -373,7 +363,7 @@ func (f *figure) compareMachines(w *workload.Workload, classes []string, slowdow
 	curves := f.sweepSystems(w, rates, systems)
 	var oracle *cluster.Curve
 	if withGap {
-		oracle = f.sweep(cluster.MustLookup("oracle-srpt").New, w, rates)
+		oracle = f.sweep(oracleSystem.mf, w, rates)
 	}
 	return func() SystemComparison {
 		cmp := SystemComparison{Workload: w.Name, PerClass: map[string][]stats.Series{}}
@@ -455,10 +445,10 @@ type GapRow struct {
 func OptimalityGapTable(sc Scale, w *workload.Workload, class string, names ...string) []GapRow {
 	rates := []float64{0.55 * w.MaxLoad(16), 0.9 * w.MaxLoad(16)}
 	f := sc.figure()
-	oracle := f.sweep(cluster.MustLookup("oracle-srpt").New, w, rates)
+	oracle := f.sweep(oracleSystem.mf, w, rates)
 	systems := make([]system, len(names))
 	for i, n := range names {
-		systems[i] = named(cluster.MustLookup(n).New)
+		systems[i] = registrySystem("", n, cluster.Options{})
 	}
 	curves := f.sweepSystems(w, rates, systems)
 	f.plan.Run()
@@ -674,13 +664,8 @@ func Fig16(sc Scale) []stats.Series {
 	// Point i of every scan runs i+1 cores at 60% load.
 	cfgs := make([]cluster.RunConfig, maxCores)
 	for i := range cfgs {
-		cfgs[i] = cluster.RunConfig{
-			Workload: w,
-			Rate:     0.6 * w.MaxLoad(i+1),
-			Duration: sc.Duration,
-			Warmup:   sc.Warmup,
-			Seed:     sc.Seed,
-		}
+		cfgs[i] = sc.base(w)
+		cfgs[i].Rate = 0.6 * w.MaxLoad(i+1)
 	}
 	// measured runs cores workers at quantum q and reports the quantum
 	// actually achieved.
@@ -732,13 +717,8 @@ func Fig16(sc Scale) []stats.Series {
 // at the given rate to many workers and reports completions/second.
 func DispatcherThroughput(sc Scale, rate float64) map[string]float64 {
 	w := workload.Fixed("tiny", 100*sim.Nanosecond)
-	cfg := cluster.RunConfig{
-		Workload: w,
-		Rate:     rate,
-		Duration: sc.Duration,
-		Warmup:   sc.Warmup,
-		Seed:     sc.Seed,
-	}
+	cfg := sc.base(w)
+	cfg.Rate = rate
 	tp := cluster.NewTQParams()
 	tp.Workers = 64 // ample workers: isolate the dispatcher
 	tp.Coroutines = 16
@@ -771,7 +751,7 @@ func ExtensionComparison(sc Scale) []stats.Series {
 	rates := cluster.RatesUpTo(0.95*w.MaxLoad(16), sc.Points)
 	var systems []system
 	for _, name := range []string{"tq", "tq-las", "concord", "libpreemptible"} {
-		systems = append(systems, named(cluster.MustLookup(name).New))
+		systems = append(systems, registrySystem("", name, cluster.Options{}))
 	}
 	return sc.sweepSeries(w, rates, systems, cluster.SojournSeries, "Short")
 }
@@ -784,13 +764,8 @@ func MultiDispatcherScaling(sc Scale, offered float64) []float64 {
 	dispatchers := []int{1, 2, 4}
 	cfgs := make([]cluster.RunConfig, len(dispatchers))
 	for i := range cfgs {
-		cfgs[i] = cluster.RunConfig{
-			Workload: w,
-			Rate:     offered,
-			Duration: sc.Duration,
-			Warmup:   sc.Warmup,
-			Seed:     sc.Seed,
-		}
+		cfgs[i] = sc.base(w)
+		cfgs[i].Rate = offered
 	}
 	f := sc.figure()
 	runs := f.plan.Points(cfgs, func(i int, cfg cluster.RunConfig) *cluster.Result {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -418,8 +419,9 @@ func TestOptimalityGapAllRegistryFinite(t *testing.T) {
 }
 
 // TestCompareMachinesGapCurves checks that CompareMachines fills
-// OptimalityGap (one curve per machine per class, one point per rate)
-// and that CompareMachinesD routes construction through Entry.NewD.
+// OptimalityGap (one curve per machine per class, one point per rate),
+// builds every machine under the given options, and reports a machine
+// lacking a requested knob as an error naming it.
 func TestCompareMachinesGapCurves(t *testing.T) {
 	sc := tiny
 	sc.Duration = 10 * sim.Millisecond
@@ -427,7 +429,10 @@ func TestCompareMachinesGapCurves(t *testing.T) {
 	sc.Points = 3
 	w := workload.HighBimodal()
 
-	cmp := CompareMachinesD(sc, w, nil, "srpt", "tq", "d-fcfs")
+	cmp, err := CompareMachines(sc, w, nil, cluster.Options{Discipline: "srpt"}, "tq", "d-fcfs")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, class := range []string{"Short", "Long"} {
 		curves := cmp.OptimalityGap[class]
 		if len(curves) != 2 {
@@ -444,15 +449,68 @@ func TestCompareMachinesGapCurves(t *testing.T) {
 			}
 		}
 	}
-	// Labels must carry the discipline suffix NewD applies.
-	if got := cmp.OptimalityGap["Short"][0].Label; got == cluster.MustLookup("tq").New().Name() {
+	// Labels must carry the discipline suffix the option applies.
+	if got := cmp.OptimalityGap["Short"][0].Label; got == cluster.MustLookup("tq").Build(cluster.Options{}).Name() {
 		t.Errorf("disciplined label %q does not reflect the srpt rewiring", got)
 	}
 
-	defer func() {
-		if recover() == nil {
-			t.Error("CompareMachinesD on a machine without NewD did not panic")
-		}
-	}()
-	CompareMachinesD(sc, w, nil, "srpt", "shinjuku")
+	if _, err := CompareMachines(sc, w, nil, cluster.Options{Discipline: "srpt"}, "tq", "shinjuku"); err == nil || !strings.Contains(err.Error(), `"shinjuku"`) {
+		t.Errorf("CompareMachines on a machine without a discipline knob: err = %v, want one naming shinjuku", err)
+	}
+}
+
+// TestEveryDriverHonoursScaleOverrides runs every simulating driver with
+// the scale's SLOs, arrival process and tenant split set and requires
+// each simulation it performs to have run under all three: a driver
+// that assembles its RunConfig by hand instead of from Scale.base drops
+// them silently.
+func TestEveryDriverHonoursScaleOverrides(t *testing.T) {
+	sc := Scale{
+		Duration: 2 * sim.Millisecond,
+		Warmup:   200 * sim.Microsecond,
+		Points:   2,
+		Seed:     1,
+		SLOs:     map[string]sim.Time{"*": sim.Micros(100)},
+		Arrivals: "mmpp:burst=5,duty=0.2,cycle=500us",
+		Tenants:  []workload.Tenant{{Name: "a", Ratio: 0.6}, {Name: "b", Ratio: 0.4}},
+	}
+	w := workload.HighBimodal()
+	for name, drive := range map[string]func(Scale){
+		"Fig1":                   func(sc Scale) { Fig1(sc) },
+		"Fig2":                   func(sc Scale) { Fig2(sc) },
+		"Fig4":                   func(sc Scale) { Fig4(sc) },
+		"Fig5And6":               func(sc Scale) { Fig5And6(sc) },
+		"Fig7":                   func(sc Scale) { Fig7(sc) },
+		"Fig8":                   func(sc Scale) { Fig8(sc) },
+		"Fig9":                   func(sc Scale) { Fig9(sc) },
+		"Fig10":                  func(sc Scale) { Fig10(sc) },
+		"Fig11":                  func(sc Scale) { Fig11(sc) },
+		"Fig12":                  func(sc Scale) { Fig12(sc) },
+		"Fig16":                  func(sc Scale) { Fig16(sc) },
+		"DispatcherThroughput":   func(sc Scale) { DispatcherThroughput(sc, 16e6) },
+		"MultiDispatcherScaling": func(sc Scale) { MultiDispatcherScaling(sc, 16e6) },
+		"ExtensionComparison":    func(sc Scale) { ExtensionComparison(sc) },
+		"CoroutineCountAblation": func(sc Scale) { CoroutineCountAblation(sc, []int{1, 8}) },
+		"OptimalityGapTable":     func(sc Scale) { OptimalityGapTable(sc, w, "Short", "tq", "d-fcfs") },
+		"CompareMachines":        func(sc Scale) { CompareMachines(sc, w, nil, cluster.Options{}, "tq", "caladan-ws") },
+		"CompareRack":            func(sc Scale) { CompareRack(sc, w, 2, "tq", []string{"random", "sew"}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			sc := sc
+			points := 0
+			sc.Progress = func(p cluster.SweepPoint) {
+				points++
+				got := p.Result.Config
+				if got.Arrivals != sc.Arrivals || !reflect.DeepEqual(got.SLOs, sc.SLOs) || !reflect.DeepEqual(got.Tenants, sc.Tenants) {
+					t.Errorf("%s at %.3g rps ran with arrivals %q, SLOs %v, tenants %v; the scale's overrides were dropped",
+						p.Result.System, p.Rate, got.Arrivals, got.SLOs, got.Tenants)
+				}
+			}
+			drive(sc)
+			if points == 0 {
+				t.Error("the driver simulated nothing")
+			}
+		})
+	}
 }

@@ -17,8 +17,9 @@
 //     Every machine model emits exactly this vocabulary, so policy
 //     differences are directly comparable on one timeline.
 //   - Ring: a zero-allocation bounded recorder for single-writer hot
-//     paths (the simulator); Locked and Sharded extend it to the
-//     multi-goroutine live runtime.
+//     paths (the simulator, or one worker of the live runtime, whose
+//     per-worker rings SortByTime merges at read time); Locked wraps
+//     one for concurrent writers.
 //   - WriteChrome / ReadChrome: lossless export to Chrome trace-event
 //     JSON — loadable in Perfetto (https://ui.perfetto.dev) or
 //     chrome://tracing — with one track per core plus dispatcher and

@@ -50,30 +50,6 @@ func TestRingZeroValueAndZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestShardedMergesInTimeOrder(t *testing.T) {
-	s := NewSharded(3, 16)
-	s.Shard(0).Emit(Event{T: 5, Task: 1, Kind: Arrive})
-	s.Shard(1).Emit(Event{T: 3, Task: 2, Kind: Arrive})
-	s.Shard(2).Emit(Event{T: 5, Task: 3, Kind: Arrive})
-	s.Shard(0).Emit(Event{T: 9, Task: 1, Kind: Drop})
-	got := s.Events()
-	if len(got) != 4 {
-		t.Fatalf("merged %d events, want 4", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].T < got[i-1].T {
-			t.Fatalf("merge out of order at %d: %d after %d", i, got[i].T, got[i-1].T)
-		}
-	}
-	// Stable at equal instants: shard 0's t=5 event precedes shard 2's.
-	if got[1].Task != 1 || got[2].Task != 3 {
-		t.Fatalf("equal-instant order not stable: tasks %d,%d", got[1].Task, got[2].Task)
-	}
-	if s.Truncated() {
-		t.Fatal("spurious truncation")
-	}
-}
-
 // lifecycle returns a minimal valid two-quantum task timeline.
 func lifecycle(task uint64, core int32, t0 int64) []Event {
 	return []Event{

@@ -22,8 +22,8 @@
 // machine model owns one Queue per scheduling point and one
 // Discipline for the whole run, and swapping the discipline swaps the
 // policy without touching the machine's event logic. The kernel-based
-// machines in internal/cluster expose this as the registry's NewD
-// constructor and the tqsim -discipline flag.
+// machines in internal/cluster expose this as the registry's
+// Options.Discipline and the tqsim -discipline flag.
 //
 // Rank monotonicity is the caller's contract, not the queue's: a
 // discipline whose ranks grow with push time (RR, FCFS under

@@ -21,8 +21,8 @@ const MachineCoreStride = 1 << 10
 // routing policy. The zero value is invalid; all three fields are
 // required. A Fleet value is stateless — Run builds everything per
 // call — so one value is safe to share across sweep points and
-// goroutines, and ParallelSweep factories can return the same Fleet
-// for every point.
+// goroutines, and a cluster.Plan's machine factory can return the same
+// Fleet for every point.
 type Fleet struct {
 	// N is the fleet size (machines).
 	N int

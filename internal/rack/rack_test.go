@@ -141,16 +141,22 @@ func TestFleetConformance(t *testing.T) {
 }
 
 // TestFleetSweepWorkerInvariance pins the acceptance property that a
-// rack sweep reproduces identical results for any ParallelSweep worker
-// count.
+// rack sweep — one cluster.Plan curve per fleet variant — reproduces
+// identical results for any worker count.
 func TestFleetSweepWorkerInvariance(t *testing.T) {
 	w := workload.HighBimodal()
 	rates := cluster.RatesUpTo(1.2*w.MaxLoad(16*testFleetSize), 3)
 	variants := Variants([]string{"random", "sew"}, []string{"tq"}, []int{testFleetSize})
-	var base []SweepResult
+	template := cluster.RunConfig{Workload: w, Duration: 2 * sim.Millisecond, Warmup: 200 * sim.Microsecond, Seed: 11}
+	var base []*cluster.Curve
 	for _, workers := range []int{1, 4} {
-		got := Sweep(variants, w, rates, 2*sim.Millisecond, 200*sim.Microsecond, 11,
-			cluster.SweepOptions{Workers: workers})
+		plan := cluster.NewPlan(cluster.SweepOptions{Workers: workers})
+		got := make([]*cluster.Curve, len(variants))
+		for i, v := range variants {
+			fleet := v.Fleet()
+			got[i] = plan.Sweep(func() cluster.Machine { return fleet }, template, rates)
+		}
+		plan.Run()
 		if base == nil {
 			base = got
 			continue
@@ -158,7 +164,7 @@ func TestFleetSweepWorkerInvariance(t *testing.T) {
 		for i := range got {
 			for j := range got[i].Results {
 				if !reflect.DeepEqual(summarize(base[i].Results[j]), summarize(got[i].Results[j])) {
-					t.Fatalf("variant %v point %d differs between worker counts", got[i].Variant, j)
+					t.Fatalf("variant %v point %d differs between worker counts", variants[i], j)
 				}
 			}
 		}

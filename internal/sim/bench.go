@@ -2,8 +2,8 @@ package sim
 
 import "time"
 
-// This file is the engine's benchmark surface, consumed by benchmark/
-// and cmd/tqbench: one standard churn workload, runnable against the
+// This file is the engine's benchmark surface, consumed by
+// benchmark/: one standard churn workload, runnable against the
 // Engine and against the plain 4-ary heap alone. The heap row is
 // frozen code, so it doubles as the benchmark's host calibration.
 

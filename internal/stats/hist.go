@@ -3,11 +3,10 @@ package stats
 import "math/bits"
 
 // LatencyHist is a fixed-memory latency histogram with exact per-bucket
-// counts, complementing the P² streaming quantiles (p2.go) and the
-// sorted-sample exact quantiles (Sample): unlike P² it never drifts
-// under adversarial orderings, and unlike Sample it costs O(1) memory
-// regardless of how many observations it absorbs — the right trade for
-// always-on observability.
+// counts, complementing the exact quantiles of Sample: unlike Sample it
+// costs O(1) memory regardless of how many observations it absorbs — the
+// right trade for always-on observability — and unlike a streaming
+// estimator it never drifts under adversarial orderings.
 //
 // Buckets are HDR-style: each power-of-two major bucket is divided into
 // 32 linear sub-buckets, so the quantile resolution is bounded by
