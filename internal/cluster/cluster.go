@@ -153,7 +153,7 @@ type TenantMetrics struct {
 	// Good counts completions within the tenant's SLO target (SLOs keys
 	// "tenant:class" and "tenant:*" override class-level targets).
 	Good    uint64
-	Sojourn *stats.Sample // ns, pooled across the tenant's classes
+	Sojourn *stats.Hist // ns, pooled across the tenant's classes
 }
 
 // ClassMetrics aggregates completions of one request class.
@@ -163,8 +163,8 @@ type ClassMetrics struct {
 	// Good counts completions within the class's SLO target; it equals
 	// Count when the class has no target.
 	Good     uint64
-	Sojourn  *stats.Sample // ns, dispatcher-arrival to completion (§5.1)
-	Slowdown *stats.Sample // sojourn / uninstrumented service time
+	Sojourn  *stats.Hist // ns, dispatcher-arrival to completion (§5.1)
+	Slowdown *stats.Hist // sojourn / uninstrumented service time
 }
 
 // Result is the outcome of one Run.
@@ -265,13 +265,9 @@ func (r *Result) P999Slowdown(class string) float64 {
 		}
 		return c.Slowdown.P999()
 	}
-	parts := make([]*stats.Sample, len(r.PerClass))
+	var pooled stats.Hist
 	for i := range r.PerClass {
-		parts[i] = r.PerClass[i].Slowdown
-	}
-	pooled := stats.Pool(parts...)
-	if pooled.Len() == 0 {
-		return 0
+		pooled.Merge(r.PerClass[i].Slowdown)
 	}
 	return pooled.P999()
 }
@@ -291,33 +287,20 @@ type metrics struct {
 	adm       *admission
 }
 
-// sampleHint sizes a latency sample for the given share of the run's
-// traffic: the in-window arrivals the configured rate implies, plus 3%
-// and a constant for the arrival process's spread. Sized once, a sample
-// records the whole run without regrowing (append-doubling from 1024
-// allocated ~4x the final size on the way up). It is only a hint — Add
-// appends, so a run that completes more than its Rate says (closed-loop
-// users, a fleet node's informational Rate) grows the sample as before.
-func sampleHint(cfg RunConfig, ratio float64) int {
-	n := cfg.Rate * (cfg.Duration - cfg.Warmup).Seconds() * ratio
-	return int(n) + int(n)/32 + 64
-}
-
 func newMetrics(cfg RunConfig) *metrics {
 	m := &metrics{cfg: cfg}
 	for _, c := range cfg.Workload.Classes {
-		n := sampleHint(cfg, c.Ratio)
 		m.perClass = append(m.perClass, ClassMetrics{
 			Name:     c.Name,
-			Sojourn:  stats.NewSample(n),
-			Slowdown: stats.NewSample(n),
+			Sojourn:  new(stats.Hist),
+			Slowdown: new(stats.Hist),
 		})
 	}
 	m.slo = sloTargets(cfg)
 	for _, t := range cfg.Tenants {
 		m.perTenant = append(m.perTenant, TenantMetrics{
 			Name:    t.Name,
-			Sojourn: stats.NewSample(sampleHint(cfg, t.Ratio)),
+			Sojourn: new(stats.Hist),
 		})
 	}
 	if len(cfg.Tenants) > 0 {
@@ -377,15 +360,15 @@ func (m *metrics) record(j *job, now sim.Time) {
 		c.Good++
 		m.good++
 	}
-	c.Sojourn.Add(float64(sojourn))
-	c.Slowdown.Add(float64(sojourn) / float64(j.base))
+	c.Sojourn.Add(int64(sojourn))
+	c.Slowdown.Observe(float64(sojourn) / float64(j.base))
 	if len(m.perTenant) > 0 {
 		tm := &m.perTenant[j.tenant]
 		tm.Completed++
 		if good {
 			tm.Good++
 		}
-		tm.Sojourn.Add(float64(sojourn))
+		tm.Sojourn.Add(int64(sojourn))
 	}
 }
 

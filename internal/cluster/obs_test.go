@@ -173,3 +173,53 @@ func TestObsBestCaladanTracesOneMode(t *testing.T) {
 		t.Fatalf("tasks=%d finished=%d dropped=%d: timeline mixes runs", s.Tasks, s.Finished, s.Dropped)
 	}
 }
+
+// TestObsSummaryAgreesWithResult: a run's trace and its Result are two
+// views of the same completions, and they read their percentiles from
+// the same estimator — stats.Hist, one bucket scheme, one rank rule
+// (nearest rank, ceil(q·n)). So obs.Summarize over one class's events
+// must report that class's p50/p99/p99.9 not merely within the
+// histogram's bound of the Result's but equal to them. (They used to
+// differ by rule: the trace side took rank floor(q·n) from 3.1 % buckets
+// and reported the bucket's lower edge.)
+func TestObsSummaryAgreesWithResult(t *testing.T) {
+	hb := workload.HighBimodal() // both classes frequent enough for a p99.9
+	cfg := RunConfig{
+		Workload: hb,
+		Rate:     0.6 * hb.MaxLoad(4),
+		Duration: 100 * sim.Millisecond,
+		Warmup:   0, // the trace has no warm-up; give the Result the same window
+		Seed:     5,
+	}
+	rec := obs.NewRing(1 << 22)
+	cfg.Obs = rec
+	tq := NewTQParams()
+	tq.Workers = 4
+	res := NewTQ(tq).Run(cfg)
+	if rec.Truncated() {
+		t.Fatal("recording truncated; grow the test ring")
+	}
+	for ci := range res.PerClass {
+		c := &res.PerClass[ci]
+		// The Result's window closes at Duration; the drain after it is
+		// traced but not measured.
+		var events []obs.Event
+		for _, e := range rec.Events() {
+			if int(e.Class) == ci && e.T <= int64(cfg.Duration) {
+				events = append(events, e)
+			}
+		}
+		s := obs.Summarize(c.Name, events)
+		if s.Sojourn.Len() != c.Sojourn.Len() || c.Sojourn.Len() < 1000 {
+			t.Fatalf("class %s: trace has %d sojourns, result %d (want equal, and enough for p99.9)", c.Name, s.Sojourn.Len(), c.Sojourn.Len())
+		}
+		for _, q := range []float64{0.5, 0.99, 0.999} {
+			if got, want := s.Sojourn.Quantile(q), c.Sojourn.Quantile(q); got != want {
+				t.Errorf("class %s q=%v: trace summary %v ns, result %v ns", c.Name, q, got, want)
+			}
+		}
+		if s.Sojourn.Mean() != c.Sojourn.Mean() || s.Sojourn.Max() != c.Sojourn.Max() {
+			t.Errorf("class %s: trace mean/max %v/%v, result %v/%v", c.Name, s.Sojourn.Mean(), s.Sojourn.Max(), c.Sojourn.Mean(), c.Sojourn.Max())
+		}
+	}
+}

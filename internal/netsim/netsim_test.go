@@ -9,94 +9,6 @@ import (
 	"testing/quick"
 )
 
-func TestSPSCOrder(t *testing.T) {
-	r := NewSPSC[int](8)
-	for i := 0; i < 8; i++ {
-		if !r.Push(i) {
-			t.Fatalf("push %d failed on non-full ring", i)
-		}
-	}
-	if r.Push(99) {
-		t.Fatal("push succeeded on full ring")
-	}
-	for i := 0; i < 8; i++ {
-		v, ok := r.Pop()
-		if !ok || v != i {
-			t.Fatalf("pop = (%d,%v), want (%d,true)", v, ok, i)
-		}
-	}
-	if _, ok := r.Pop(); ok {
-		t.Fatal("pop succeeded on empty ring")
-	}
-}
-
-func TestSPSCWraparound(t *testing.T) {
-	r := NewSPSC[int](4)
-	for lap := 0; lap < 100; lap++ {
-		for i := 0; i < 3; i++ {
-			if !r.Push(lap*3 + i) {
-				t.Fatal("push failed")
-			}
-		}
-		for i := 0; i < 3; i++ {
-			v, ok := r.Pop()
-			if !ok || v != lap*3+i {
-				t.Fatalf("lap %d: got (%d,%v)", lap, v, ok)
-			}
-		}
-	}
-}
-
-func TestSPSCConcurrent(t *testing.T) {
-	r := NewSPSC[uint64](64)
-	const n = 1 << 13
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := uint64(0); i < n; {
-			if r.Push(i) {
-				i++
-			} else {
-				runtime.Gosched() // single-core friendly
-			}
-		}
-	}()
-	var sum, want uint64
-	for i := uint64(0); i < n; {
-		if v, ok := r.Pop(); ok {
-			if v != i {
-				t.Errorf("out of order: got %d want %d", v, i)
-				break
-			}
-			sum += v
-			i++
-		} else {
-			runtime.Gosched()
-		}
-	}
-	wg.Wait()
-	for i := uint64(0); i < n; i++ {
-		want += i
-	}
-	if sum != want {
-		t.Fatalf("sum %d, want %d", sum, want)
-	}
-}
-
-func TestSPSCBadCapacityPanics(t *testing.T) {
-	for _, c := range []int{0, 1, 3, 12} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("capacity %d did not panic", c)
-				}
-			}()
-			NewSPSC[int](c)
-		}()
-	}
-}
-
 func TestMPSCSingleThreaded(t *testing.T) {
 	r := NewMPSC[int](8)
 	for i := 0; i < 8; i++ {
@@ -280,18 +192,6 @@ func TestBufferPoolConcurrentRelease(t *testing.T) {
 			count++
 		}
 	}
-}
-
-func BenchmarkSPSCPushPop(b *testing.B) {
-	r := NewSPSC[uint64](1024)
-	b.RunParallel(func(pb *testing.PB) {
-		// Single producer/consumer pattern approximated by alternating.
-		for pb.Next() {
-			if !r.Push(1) {
-				r.Pop()
-			}
-		}
-	})
 }
 
 func BenchmarkMPSCPush(b *testing.B) {

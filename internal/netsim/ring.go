@@ -1,12 +1,11 @@
 // Package netsim provides the networking substrate of the TQ
-// implementation (§4): request/response framing and the lock-free ring
-// buffers that connect the dispatcher to worker cores.
+// implementation (§4): request/response framing, a load-generating
+// client, and the RX-buffer pool.
 //
-// The rings are real concurrent data structures (used by the live
-// goroutine runtime in internal/tqrt), not simulation stand-ins: SPSC
-// rings carry dispatcher→worker job handoffs, and an MPSC pool returns
-// RX buffers from worker cores back to the dispatcher's allocator, the
-// "multi-producer, single-consumer memory pool" of §4.
+// The pool's ring is a real concurrent data structure, not a simulation
+// stand-in: an MPSC ring returns RX buffers from worker cores back to
+// the dispatcher's allocator, the "multi-producer, single-consumer
+// memory pool" of §4.
 package netsim
 
 import (
@@ -17,77 +16,6 @@ import (
 // cacheLinePad separates hot atomics to avoid false sharing between the
 // producer and consumer cores.
 type cacheLinePad [64]byte
-
-// SPSC is a bounded single-producer single-consumer ring. One goroutine
-// may call Push, one may call Pop; both are wait-free. This is the
-// "lockless ring buffer" the TQ dispatcher uses to forward requests to
-// the least-loaded worker (§4).
-type SPSC[T any] struct {
-	mask uint64
-	buf  []slot[T]
-	_    cacheLinePad
-	head atomic.Uint64 // next index to pop (consumer-owned)
-	_    cacheLinePad
-	tail atomic.Uint64 // next index to push (producer-owned)
-}
-
-type slot[T any] struct {
-	// full is 1 when the slot holds a value. Separating the flag from
-	// head/tail lets each side publish with a single release store.
-	full atomic.Uint32
-	v    T
-}
-
-// NewSPSC returns a ring with the given capacity, which must be a
-// power of two and at least 2.
-func NewSPSC[T any](capacity int) *SPSC[T] {
-	if capacity < 2 || capacity&(capacity-1) != 0 {
-		panic(fmt.Sprintf("netsim: SPSC capacity %d is not a power of two >= 2", capacity))
-	}
-	return &SPSC[T]{mask: uint64(capacity - 1), buf: make([]slot[T], capacity)}
-}
-
-// Push appends v; it reports false if the ring is full.
-func (r *SPSC[T]) Push(v T) bool {
-	t := r.tail.Load()
-	s := &r.buf[t&r.mask]
-	if s.full.Load() != 0 {
-		return false
-	}
-	s.v = v
-	s.full.Store(1)
-	r.tail.Store(t + 1)
-	return true
-}
-
-// Pop removes the oldest element; it reports false if the ring is
-// empty.
-func (r *SPSC[T]) Pop() (T, bool) {
-	var zero T
-	h := r.head.Load()
-	s := &r.buf[h&r.mask]
-	if s.full.Load() == 0 {
-		return zero, false
-	}
-	v := s.v
-	s.v = zero
-	s.full.Store(0)
-	r.head.Store(h + 1)
-	return v, true
-}
-
-// Len approximates the number of queued elements; exact only when
-// producer and consumer are quiescent.
-func (r *SPSC[T]) Len() int {
-	d := int64(r.tail.Load()) - int64(r.head.Load())
-	if d < 0 {
-		return 0
-	}
-	return int(d)
-}
-
-// Cap returns the ring capacity.
-func (r *SPSC[T]) Cap() int { return len(r.buf) }
 
 // MPSC is a bounded multi-producer single-consumer ring: any number of
 // goroutines may Push concurrently; a single goroutine Pops. It backs

@@ -27,7 +27,7 @@
 //     for tooling (cmd/tqtrace summarize / diff).
 //   - Summarize / Windows: aggregate and sliding-window time-series
 //     metrics (per-core utilization, occupancy, preemption rate,
-//     p50/p99 sojourn via stats.LatencyHist) computed from an event
+//     p50/p99 sojourn via stats.Hist) computed from an event
 //     stream.
 //   - Validate / Conserved: the machine-model invariants — per-task
 //     lifecycle ordering, matched quantum start/end pairs per core,

@@ -111,7 +111,7 @@ func TestReadSideArbitraryTaskIDs(t *testing.T) {
 		}
 		if got, want := Summarize("x", events), summarizeRef("x", events); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: Summarize differs from the original (tasks %d/%d, max occupancy %d/%d, sojourns %d/%d)", trial,
-				got.Tasks, want.Tasks, got.MaxOccupancy, want.MaxOccupancy, got.Sojourn.Count(), want.Sojourn.Count())
+				got.Tasks, want.Tasks, got.MaxOccupancy, want.MaxOccupancy, got.Sojourn.Len(), want.Sojourn.Len())
 		}
 		width := int64(1 + rng.Intn(2000))
 		if got, want := Windows(events, width), windowsRef(events, width); !reflect.DeepEqual(got, want) {

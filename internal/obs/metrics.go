@@ -39,8 +39,10 @@ type Summary struct {
 	// MaxOccupancy is the high watermark of tasks in the system
 	// (arrived, neither finished nor dropped).
 	MaxOccupancy int
-	// Sojourn is the exact-count histogram of arrive→finish latency.
-	Sojourn stats.LatencyHist
+	// Sojourn is the histogram of arrive→finish latency, in ns: the
+	// estimator (bucket scheme, rank rule, stats.HistRelErr) a simulated
+	// run's own cluster.Result reads its quantiles from.
+	Sojourn stats.Hist
 }
 
 // Summarize computes a Summary over one scheduler's events (emission
@@ -149,11 +151,11 @@ func (s *Summary) Format(w io.Writer) {
 	fmt.Fprintln(w, "]")
 	fmt.Fprintf(w, "  preemptions: %d (%.3gM/s), max occupancy %d\n",
 		s.Preemptions, s.PreemptRate/1e6, s.MaxOccupancy)
-	if s.Sojourn.Count() > 0 {
+	if s.Sojourn.Len() > 0 {
 		fmt.Fprintf(w, "  sojourn: p50 %.1fµs  p99 %.1fµs  p99.9 %.1fµs  max %.1fµs (n=%d)\n",
-			float64(s.Sojourn.P50())/1000, float64(s.Sojourn.P99())/1000,
-			float64(s.Sojourn.Quantile(0.999))/1000, float64(s.Sojourn.Max())/1000,
-			s.Sojourn.Count())
+			s.Sojourn.Median()/1000, s.Sojourn.P99()/1000,
+			s.Sojourn.P999()/1000, s.Sojourn.Max()/1000,
+			s.Sojourn.Len())
 	}
 }
 
@@ -176,9 +178,9 @@ func Diff(w io.Writer, a, b *Summary) {
 	row("mean util %", 100*a.MeanUtil(), 100*b.MeanUtil(), "")
 	row("preempt/s", a.PreemptRate, b.PreemptRate, "")
 	row("max occupancy", float64(a.MaxOccupancy), float64(b.MaxOccupancy), "")
-	row("p50 sojourn µs", float64(a.Sojourn.P50())/1000, float64(b.Sojourn.P50())/1000, "")
-	row("p99 sojourn µs", float64(a.Sojourn.P99())/1000, float64(b.Sojourn.P99())/1000, "")
-	row("p99.9 sojourn µs", float64(a.Sojourn.Quantile(0.999))/1000, float64(b.Sojourn.Quantile(0.999))/1000, "")
+	row("p50 sojourn µs", a.Sojourn.Median()/1000, b.Sojourn.Median()/1000, "")
+	row("p99 sojourn µs", a.Sojourn.P99()/1000, b.Sojourn.P99()/1000, "")
+	row("p99.9 sojourn µs", a.Sojourn.P999()/1000, b.Sojourn.P999()/1000, "")
 }
 
 func trunc(s string, n int) string {
@@ -224,7 +226,7 @@ func Windows(events []Event, width int64) []Window {
 	}
 	n := int((end-start)/width) + 1
 	wins := make([]Window, n)
-	hists := make([]stats.LatencyHist, n)
+	hists := make([]stats.Hist, n)
 	for i := range wins {
 		wins[i].Start = start + int64(i)*width
 	}
@@ -304,10 +306,8 @@ func Windows(events []Event, width int64) []Window {
 		}
 		wins[i].Occupancy = prevOcc
 		wins[i].Busy = float64(busy[i]) / (float64(width) * float64(cores))
-		if hists[i].Count() > 0 {
-			wins[i].P50 = hists[i].P50()
-			wins[i].P99 = hists[i].P99()
-		}
+		wins[i].P50 = int64(hists[i].Median())
+		wins[i].P99 = int64(hists[i].P99())
 	}
 	return wins
 }

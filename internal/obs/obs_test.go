@@ -186,7 +186,7 @@ func TestSummarize(t *testing.T) {
 	}
 	// Sojourn is 70ns for both finished tasks.
 	if got := s.Sojourn.Quantile(0.5); got != 70 {
-		t.Fatalf("p50 sojourn %d, want 70", got)
+		t.Fatalf("p50 sojourn %v, want 70", got)
 	}
 	var sb strings.Builder
 	s.Format(&sb)

@@ -188,7 +188,7 @@ func windowsRef(events []Event, width int64) []Window {
 	}
 	n := int((end-start)/width) + 1
 	wins := make([]Window, n)
-	hists := make([]stats.LatencyHist, n)
+	hists := make([]stats.Hist, n)
 	for i := range wins {
 		wins[i].Start = start + int64(i)*width
 	}
@@ -268,10 +268,8 @@ func windowsRef(events []Event, width int64) []Window {
 		}
 		wins[i].Occupancy = prevOcc
 		wins[i].Busy = float64(busy[i]) / (float64(width) * float64(cores))
-		if hists[i].Count() > 0 {
-			wins[i].P50 = hists[i].P50()
-			wins[i].P99 = hists[i].P99()
-		}
+		wins[i].P50 = int64(hists[i].Median())
+		wins[i].P99 = int64(hists[i].P99())
 	}
 	return wins
 }

@@ -194,43 +194,37 @@ func (s shiftRecorder) Emit(e obs.Event) {
 }
 
 // mergeResults folds per-machine Results into the fleet aggregate:
-// counts and rates sum, latency samples pool, and the conservation law
-// survives because it holds machine by machine. The per slice is
-// ordered by machine index, so the merge is deterministic.
+// counts and rates sum, latency histograms merge by addition, and the
+// conservation law survives because it holds machine by machine. The
+// per slice is ordered by machine index, so the merge is deterministic.
 //
 //simvet:accounting
 func mergeResults(system string, cfg cluster.RunConfig, per []*cluster.Result) *cluster.Result {
 	window := (cfg.Duration - cfg.Warmup).Seconds()
 	out := &cluster.Result{System: system, Config: cfg, RTT: per[0].RTT}
 	var good uint64
-	// Latency samples pool machine by machine, each merged sample
-	// allocated once at the pooled size.
-	sojourn := make([]*stats.Sample, len(per))
-	slowdown := make([]*stats.Sample, len(per))
 	for ci, c := range cfg.Workload.Classes {
-		merged := cluster.ClassMetrics{Name: c.Name}
-		for i, r := range per {
+		merged := cluster.ClassMetrics{Name: c.Name, Sojourn: new(stats.Hist), Slowdown: new(stats.Hist)}
+		for _, r := range per {
 			mc := &r.PerClass[ci]
 			merged.Count += mc.Count
 			merged.Good += mc.Good
-			sojourn[i], slowdown[i] = mc.Sojourn, mc.Slowdown
+			merged.Sojourn.Merge(mc.Sojourn)
+			merged.Slowdown.Merge(mc.Slowdown)
 		}
-		merged.Sojourn = stats.Pool(sojourn...)
-		merged.Slowdown = stats.Pool(slowdown...)
 		good += merged.Good
 		out.PerClass = append(out.PerClass, merged)
 	}
 	for ti, t := range cfg.Tenants {
-		merged := cluster.TenantMetrics{Name: t.Name}
-		for i, r := range per {
+		merged := cluster.TenantMetrics{Name: t.Name, Sojourn: new(stats.Hist)}
+		for _, r := range per {
 			mt := &r.PerTenant[ti]
 			merged.Offered += mt.Offered
 			merged.Completed += mt.Completed
 			merged.Dropped += mt.Dropped
 			merged.Good += mt.Good
-			sojourn[i] = mt.Sojourn
+			merged.Sojourn.Merge(mt.Sojourn)
 		}
-		merged.Sojourn = stats.Pool(sojourn...)
 		out.PerTenant = append(out.PerTenant, merged)
 	}
 	for _, r := range per {

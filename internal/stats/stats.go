@@ -1,11 +1,20 @@
 // Package stats provides the latency accounting used throughout the
-// Tiny Quanta evaluation: exact percentile computation over recorded
-// samples, fixed-bucket histograms, and slowdown bookkeeping.
+// Tiny Quanta evaluation: a fixed-footprint quantile estimator, an exact
+// one to check it against, and the small bookkeeping types the figures
+// are assembled from.
 //
-// The paper reports 99.9th-percentile latencies and slowdowns, so the
-// estimators here are exact (order statistics) rather than approximate;
-// simulated experiments record at most a few million samples, which fits
-// comfortably in memory.
+// The paper reads one number per class out of a ten-second, multi-Mrps
+// run — the 99.9th-percentile sojourn or slowdown — so what a run keeps
+// is a Hist: a log-linear histogram whose quantiles are within
+// HistRelErr (0.2 %) of the exact order statistics, whose Len, Min, Max
+// and Mean are exact, and whose memory depends on the spread of the
+// values, not on how many there were. Every run, fleet aggregate and
+// trace summary records into that one type. Sample keeps every
+// observation and answers with exact order statistics; it is the
+// reference Hist is differentially tested against (FuzzHistVsSample),
+// and what a test reaches for when it needs the exact answer.
+// RunningMean is for observations only ever averaged; Histogram is the
+// coarse geometric one behind the reuse-distance plots.
 package stats
 
 import (
@@ -191,23 +200,6 @@ func (s *Sample) Reset() {
 	s.placed = s.placed[:0]
 }
 
-// Pool returns a new Sample holding every observation of parts, in
-// order, allocated once at exactly the pooled size (adding the values
-// one by one to a small sample regrows it ~40 times on the way up).
-func Pool(parts ...*Sample) *Sample {
-	n := 0
-	for _, p := range parts {
-		n += p.Len()
-	}
-	out := NewSample(n)
-	for _, p := range parts {
-		for _, v := range p.values {
-			out.Add(v)
-		}
-	}
-	return out
-}
-
 // RunningMean accumulates a sum and a count: the estimator for
 // observations whose only read-outs are Mean and Len, which a Sample
 // would store one float64 apiece for. Its Mean is bit-identical to a
@@ -307,72 +299,6 @@ func (h *Histogram) FractionAbove(threshold float64) float64 {
 	}
 	return float64(above) / float64(h.total)
 }
-
-// Counter is an overflow-tolerant monotonic counter pair used to model
-// the worker-side statistics the TQ dispatcher reads (§4): the worker
-// increments regardless of wraparound and the reader tracks totals by
-// deltas. Width configures the simulated counter width in bits so tests
-// can exercise wraparound cheaply.
-type Counter struct {
-	width uint
-	value uint64
-}
-
-// NewCounter returns a counter that wraps at 2^width. Width must be in
-// [1, 64].
-func NewCounter(width uint) *Counter {
-	if width < 1 || width > 64 {
-		panic("stats: counter width out of range")
-	}
-	return &Counter{width: width}
-}
-
-// Inc adds n to the counter, wrapping at the configured width.
-func (c *Counter) Inc(n uint64) {
-	c.value += n
-	if c.width < 64 {
-		c.value &= (1 << c.width) - 1
-	}
-}
-
-// Load returns the raw (possibly wrapped) counter value.
-func (c *Counter) Load() uint64 { return c.value }
-
-// DeltaReader tracks the true total of a wrapping Counter by reading it
-// periodically and accumulating deltas, exactly as the TQ dispatcher
-// recovers unbounded totals from fixed-width worker counters. Reads must
-// happen before the counter advances by a full 2^width between them.
-type DeltaReader struct {
-	width uint
-	last  uint64
-	total uint64
-}
-
-// NewDeltaReader returns a reader for counters of the given width.
-func NewDeltaReader(width uint) *DeltaReader {
-	if width < 1 || width > 64 {
-		panic("stats: reader width out of range")
-	}
-	return &DeltaReader{width: width}
-}
-
-// Observe incorporates a raw counter reading and returns the recovered
-// monotonic total.
-func (r *DeltaReader) Observe(raw uint64) uint64 {
-	var delta uint64
-	if r.width == 64 {
-		delta = raw - r.last
-	} else {
-		mask := uint64(1)<<r.width - 1
-		delta = (raw - r.last) & mask
-	}
-	r.total += delta
-	r.last = raw
-	return r.total
-}
-
-// Total returns the recovered monotonic total so far.
-func (r *DeltaReader) Total() uint64 { return r.total }
 
 // Series is a labelled (x, y) sequence, the common currency of the
 // experiment drivers: one Series per curve in a paper figure.
