@@ -85,7 +85,7 @@ type calWorker struct {
 	busy  bool
 	// A busy worker has exactly one event pending — the steal latency
 	// before stolen starts, or cur's completion — so one slot of each and
-	// two callbacks bound once per run replace a closure per event.
+	// two callbacks bound once replace a closure per event.
 	stolen  *job
 	cur     *job
 	onSteal func() // r.startStolen(w)
@@ -111,32 +111,38 @@ type calRun struct {
 	onForward    func() // r.forward()
 }
 
-// newRun builds the run struct and its RX bound: only the IOKernel is
-// a bounded serial stage; directpath workers read the NIC directly, so
-// their arrive path goes through an unbounded gate (limit 0) and never
-// drops.
-func (c *Caladan) newRun(cfg RunConfig) (*calRun, int) {
-	r := &calRun{
-		m:       c,
-		workers: make([]calWorker, c.P.Workers),
-		rand:    rng.New(cfg.Seed ^ 0xca1ada),
-	}
-	limit := 0
-	if c.P.Mode == IOKernel {
-		limit = c.P.RXQueue
-	}
+// newRun fills r, zero or recycled, and returns its RX bound: only the
+// IOKernel is a bounded serial stage; directpath workers read the NIC
+// directly, so their arrive path goes through an unbounded gate (limit
+// 0) and never drops.
+func (c *Caladan) newRun(r *calRun, cfg RunConfig) int {
+	r.m = c
+	r.rand = rng.New(cfg.Seed ^ 0xca1ada)
+	r.iokBusyUntil = 0
+	r.iokQ.Reset()
 	r.onForward = r.forward
+	r.workers = resize(r.workers, c.P.Workers, func(w int, wk *calWorker) {
+		wk.onSteal = func() { r.startStolen(w) }
+		wk.onDone = func() { r.finish(w) }
+	})
+	r.idle = r.idle[:0]
 	for w := range r.workers {
+		wk := &r.workers[w]
+		wk.queue.Reset()
+		*wk = calWorker{queue: wk.queue, onSteal: wk.onSteal, onDone: wk.onDone}
 		r.idle = append(r.idle, w)
-		r.workers[w].onSteal = func() { r.startStolen(w) }
-		r.workers[w].onDone = func() { r.finish(w) }
 	}
-	return r, limit
+	if c.P.Mode == IOKernel {
+		return c.P.RXQueue
+	}
+	return 0
 }
 
 // Run implements Machine.
 func (c *Caladan) Run(cfg RunConfig) *Result {
-	r, limit := c.newRun(cfg)
+	r := calRuns.get()
+	defer calRuns.put(r, &r.machineRun)
+	limit := c.newRun(r, cfg)
 	r.init(cfg, r, cfg.Stream(rng.New(cfg.Seed)), limit, 1)
 	return r.run(c.Name(), c.P.RTT)
 }
@@ -146,7 +152,8 @@ func (c *Caladan) Run(cfg RunConfig) *Result {
 // run-both-and-pick cannot share an engine, so "caladan-ws" has no node
 // form.
 func (c *Caladan) NewNode(eng *sim.Engine, cfg RunConfig) Node {
-	r, limit := c.newRun(cfg)
+	r := new(calRun)
+	limit := c.newRun(r, cfg)
 	r.attach(eng, cfg, r, limit, 1)
 	r.bind(c.Name(), c.P.Workers, c.P.RTT)
 	return r

@@ -57,7 +57,7 @@ type ctRun struct {
 // ctCore is one serving core's pending event. A core is either running
 // a quantum of j (onEnd pending) or paying the switch overhead before
 // mounting j (onMount pending), never both, so one job slot and two
-// callbacks bound once per run carry what a closure per quantum used to
+// callbacks bound once carry what a closure per quantum used to
 // capture.
 type ctCore struct {
 	j       *job
@@ -66,26 +66,30 @@ type ctCore struct {
 	onMount func()   // r.mount(j, core)
 }
 
-func (c *CentralizedPS) newRun(cfg RunConfig) *ctRun {
-	r := &ctRun{
-		m:     c,
-		rank:  newRanker(parseDiscipline(c.Discipline, pifo.RR), cfg),
-		cores: make([]ctCore, c.Workers),
-	}
+// newRun fills r, zero or recycled; only storage survives a recycling.
+func (c *CentralizedPS) newRun(r *ctRun, cfg RunConfig) {
+	r.m = c
+	r.rank = newRanker(parseDiscipline(c.Discipline, pifo.RR), cfg)
+	r.queue.Reset()
+	r.free = r.free[:0]
 	for i := c.Workers - 1; i >= 0; i-- {
 		r.free = append(r.free, int32(i)) // pop from the end: core 0 first
 	}
-	for i := range r.cores {
+	r.cores = resize(r.cores, c.Workers, func(i int, cr *ctCore) {
 		core := int32(i)
-		r.cores[i].onEnd = func() { r.quantumEnd(core) }
-		r.cores[i].onMount = func() { r.mount(r.cores[core].j, core) }
+		cr.onEnd = func() { r.quantumEnd(core) }
+		cr.onMount = func() { r.mount(r.cores[core].j, core) }
+	})
+	for i := range r.cores {
+		r.cores[i] = ctCore{onEnd: r.cores[i].onEnd, onMount: r.cores[i].onMount}
 	}
-	return r
 }
 
 // Run implements Machine.
 func (c *CentralizedPS) Run(cfg RunConfig) *Result {
-	r := c.newRun(cfg)
+	r := ctRuns.get()
+	defer ctRuns.put(r, &r.machineRun)
+	c.newRun(r, cfg)
 	// The idealized scheduler has no bounded RX stage (limit 0): the
 	// gate admits everything, but the arrive path still goes through it
 	// so Offered/Dropped accounting is uniform across machine models.
@@ -96,7 +100,8 @@ func (c *CentralizedPS) Run(cfg RunConfig) *Result {
 // NewNode binds the machine to a shared engine as a cluster Node (the
 // rack-fleet form; see Entry.NewNode).
 func (c *CentralizedPS) NewNode(eng *sim.Engine, cfg RunConfig) Node {
-	r := c.newRun(cfg)
+	r := new(ctRun)
+	c.newRun(r, cfg)
 	r.attach(eng, cfg, r, 0, 1)
 	r.bind(c.Name(), c.Workers, 0)
 	return r

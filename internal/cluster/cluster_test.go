@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/obs"
@@ -569,44 +568,6 @@ func TestTQTraceIsValidTimeline(t *testing.T) {
 	}
 	if !json.Valid(buf.Bytes()) {
 		t.Fatal("chrome trace is not valid JSON")
-	}
-}
-
-func TestMachineRunTwiceMatchesFreshMachine(t *testing.T) {
-	// Reusing one Machine value across Run calls must behave exactly like
-	// constructing a fresh machine per run: no state may leak between
-	// runs. Sweeps depended on this silently before the factory-based
-	// parallel runner; this pins it down for all four machines.
-	w := workload.HighBimodal()
-	cfg := RunConfig{
-		Workload: w,
-		Rate:     0.6 * w.MaxLoad(16),
-		Duration: 10 * sim.Millisecond,
-		Warmup:   sim.Millisecond,
-		Seed:     5,
-	}
-	machines := []struct {
-		name  string
-		reuse Machine
-		fresh func() Machine
-	}{
-		{"TQ", NewTQ(NewTQParams()), func() Machine { return NewTQ(NewTQParams()) }},
-		{"Shinjuku", NewShinjuku(NewShinjukuParams(sim.Micros(5))),
-			func() Machine { return NewShinjuku(NewShinjukuParams(sim.Micros(5))) }},
-		{"Caladan", NewCaladan(NewCaladanParams(IOKernel)),
-			func() Machine { return NewCaladan(NewCaladanParams(IOKernel)) }},
-		{"CentralizedPS", NewCentralizedPS(16, sim.Micros(2), 0),
-			func() Machine { return NewCentralizedPS(16, sim.Micros(2), 0) }},
-	}
-	for _, m := range machines {
-		first := m.reuse.Run(cfg)
-		second := m.reuse.Run(cfg)
-		if !reflect.DeepEqual(first, second) {
-			t.Errorf("%s: second Run on the same machine differs from the first", m.name)
-		}
-		if clean := m.fresh().Run(cfg); !reflect.DeepEqual(second, clean) {
-			t.Errorf("%s: reused machine's Run differs from a fresh machine's", m.name)
-		}
 	}
 }
 

@@ -407,16 +407,63 @@ func TestRegistrySteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestRecycledRunAllocs is the recycling guard: for every registered
+// machine, a second run of one config, on the struct the first put back
+// in its family's pool, allocates under 15 % of the first run's bytes —
+// what remains is the Result's metrics and histograms, the RNG and the
+// stream. Engine, job pool, queues and bound callbacks are the first
+// run's. The config is a point past the knee, as a sweep's top rates
+// are, where drops, backlog and job-pool growth make construction most
+// of a fresh run's bytes (at 60 % load histograms are a quarter of them,
+// so the bound would measure the histograms, not the recycling). Not
+// parallel: it reads the process-wide allocation counter.
+func TestRecycledRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates, and race builds drop pooled structs at random")
+	}
+	holdPools(t)
+	hb := workload.HighBimodal()
+	cfg := RunConfig{
+		Workload: hb,
+		Rate:     2 * hb.MaxLoad(16),
+		Duration: 20 * sim.Millisecond,
+		Warmup:   2 * sim.Millisecond,
+		Seed:     7,
+	}
+	measure := func(m Machine) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m.Run(cfg)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, name := range Names() {
+		m := MustLookup(name).Build(Options{})
+		emptyPools()
+		first, second := measure(m), measure(m)
+		ratio := float64(second) / float64(first)
+		t.Logf("%s: %d bytes fresh, %d recycled (%.1f %%)", name, first, second, 100*ratio)
+		if ratio >= 0.15 {
+			t.Errorf("%s: the recycled run allocated %d bytes, %.1f %% of the fresh run's %d; want < 15 %% (is the struct pooled, and its storage kept?)",
+				name, second, 100*ratio, first)
+		}
+	}
+}
+
 // TestRunAllocBytesIndependentOfDuration is the footprint guard: what a
-// run keeps is its machine and one histogram block per octave its
-// latencies span, so a TQ run ten times as long allocates (within 10 %)
-// the bytes of the short one. When every completion's sojourn and
-// slowdown were kept until read-out the long run allocated ten times
-// as much. Not parallel: it reads the process-wide allocation counter.
+// run keeps is one histogram block per octave its latencies span, so a
+// TQ run ten times as long allocates (within 10 %) the bytes of the
+// short one. When every completion's sojourn and slowdown were kept
+// until read-out the long run allocated ten times as much. Not
+// parallel: it reads the process-wide allocation counter. It holds the
+// pools, so both measured runs recycle the struct of a warm-up run as
+// long as the longer one — already grown to either's high water —
+// rather than one of them building or growing its own.
 func TestRunAllocBytesIndependentOfDuration(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the footprint guarantee is for production builds")
 	}
+	holdPools(t)
 	eb := workload.ExtremeBimodal()
 	cfg := RunConfig{
 		Workload: eb,
@@ -435,7 +482,7 @@ func TestRunAllocBytesIndependentOfDuration(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc, res.Completed
 	}
-	measure(cfg.Duration) // whatever the process pools across runs exists before either count
+	measure(10 * cfg.Duration) // the pooled struct exists, grown, before either count
 	b1, n1 := measure(cfg.Duration)
 	b10, n10 := measure(10 * cfg.Duration)
 	t.Logf("%d bytes for %d completions at T, %d bytes for %d at 10T (x%.3f)", b1, n1, b10, n10, float64(b10)/float64(b1))

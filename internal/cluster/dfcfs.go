@@ -19,8 +19,8 @@ import (
 // The machine is also this package's template for expressing a new
 // system purely as kernel policies (see EXPERIMENTS.md "Adding a
 // machine"): the three machinePolicy methods below are the entire
-// arrival path, and the run loop is one worker callback, bound once per
-// run.
+// arrival path, the run loop is one worker callback, bound once, and
+// newRun is the whole of construction and of reset between pooled runs.
 
 // DFCFSParams configures the d-FCFS baseline.
 type DFCFSParams struct {
@@ -76,8 +76,8 @@ type dfWorker struct {
 	queue pifo.Queue[*job]
 	busy  bool
 	// cur is the job in service. A worker runs one job at a time, so its
-	// completion is one callback bound once per run plus this slot — not
-	// a closure per job, which would put an allocation on every event.
+	// completion is one callback bound once plus this slot — not a
+	// closure per job, which would put an allocation on every event.
 	cur    *job
 	onDone func() // r.finish(w)
 }
@@ -90,21 +90,25 @@ type dfRun struct {
 	rss     core.RSS
 }
 
-func (d *DFCFS) newRun(cfg RunConfig) *dfRun {
-	r := &dfRun{
-		m:       d,
-		rank:    newRanker(parseDiscipline(d.P.Discipline, pifo.FCFS), cfg),
-		workers: make([]dfWorker, d.P.Workers),
-	}
+// newRun fills r, zero or put back in dfRuns by a finished run: one code
+// path for construction and reset. The worker slice and queue arrays are
+// kept and emptied; callbacks are bound when a worker slice is made.
+func (d *DFCFS) newRun(r *dfRun, cfg RunConfig) {
+	r.m = d
+	r.rank = newRanker(parseDiscipline(d.P.Discipline, pifo.FCFS), cfg)
+	r.workers = resize(r.workers, d.P.Workers, func(w int, wk *dfWorker) { wk.onDone = func() { r.finish(w) } })
 	for w := range r.workers {
-		r.workers[w].onDone = func() { r.finish(w) }
+		wk := &r.workers[w]
+		wk.queue.Reset()
+		*wk = dfWorker{queue: wk.queue, onDone: wk.onDone}
 	}
-	return r
 }
 
-// Run implements Machine.
+// Run implements Machine on a struct from, and back to, dfRuns.
 func (d *DFCFS) Run(cfg RunConfig) *Result {
-	r := d.newRun(cfg)
+	r := dfRuns.get()
+	defer dfRuns.put(r, &r.machineRun)
+	d.newRun(r, cfg)
 	// One RX lane per worker: each NIC queue is its own bounded ring.
 	r.init(cfg, r, cfg.Stream(rng.New(cfg.Seed)), d.P.RXQueue, d.P.Workers)
 	return r.run(d.Name(), d.P.RTT)
@@ -113,7 +117,8 @@ func (d *DFCFS) Run(cfg RunConfig) *Result {
 // NewNode binds the machine to a shared engine as a cluster Node (the
 // rack-fleet form; see Entry.NewNode).
 func (d *DFCFS) NewNode(eng *sim.Engine, cfg RunConfig) Node {
-	r := d.newRun(cfg)
+	r := new(dfRun)
+	d.newRun(r, cfg)
 	r.attach(eng, cfg, r, d.P.RXQueue, d.P.Workers)
 	r.bind(d.Name(), d.P.Workers, d.P.RTT)
 	return r

@@ -38,17 +38,20 @@
 // arriving request is steered (admitLane), how its demand is inflated
 // (inflate), and what the system does with an admitted job (admit) —
 // and its own engine callbacks for everything after admission. Those
-// callbacks are bound once per run, never written as a literal at the
+// callbacks are bound once, never written as a literal at the
 // scheduling site: a worker's one in-flight quantum lives on the worker
 // and its callback reads it back (dfWorker.cur/onDone), a serial
 // server's pending hand-offs wait in a FIFO drained by one callback
-// (tqRun.dispQ), and events a generation counter can outdate take a
+// (tqDispatcher.q), and events a generation counter can outdate take a
 // pooled record (genTimers). A literal per event was 0.77 allocs/event
 // and ~57% of a TQ run's allocated bytes; TestRegistrySteadyStateAllocs
-// and the //simvet:hotpath marks on the handlers keep it at zero. The
-// kernel makes the conservation law Offered == Completed + Dropped and
-// the shared arrival semantics structural rather than per-machine
-// conventions; dfcfs.go is the ~100-line template for adding a system.
+// and the //simvet:hotpath marks on the handlers keep it at zero. A
+// finished run's struct then goes back to its family's runPool, so a
+// sweep builds engine, queues and callbacks once per worker, not per
+// point (TestRecycledRunAllocs). The kernel makes the conservation law
+// Offered == Completed + Dropped and the shared arrival semantics
+// structural rather than per-machine conventions; dfcfs.go is the
+// ~200-line template for adding a system.
 //
 // # Registry
 //

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"sync"
+
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -29,6 +31,53 @@ import (
 // the run to an engine owned by an embedding layer (the rack fleet in
 // internal/rack), which pumps a shared arrival stream itself and
 // delivers this machine's slice of it through Inject; see node.go.
+
+// runPool recycles one machine family's standalone run structs (variants
+// share their family's), so a run keeps the engine, job freelist, queues
+// and callbacks the last one grew; newRun fills zero or recycled alike.
+type runPool[T any] struct{ p sync.Pool }
+
+// maxPooledJobs bounds the backlog a pooled struct keeps: put drops one
+// past 64 Ki jobs, an overload whose backlog grew with its length (Full
+// scale: 1.19 M on Caladan-directpath) and which, kept per family, raised
+// Full tqsim -fig all peak RSS by half — like a burst-sized node pool.
+const maxPooledJobs = 1 << 16
+
+var (
+	tqRuns     runPool[tqRun]
+	sjRuns     runPool[sjRun]
+	calRuns    runPool[calRun]
+	ctRuns     runPool[ctRun]
+	dfRuns     runPool[dfRun]
+	oracleRuns runPool[oracleRun]
+	sinkRuns   runPool[sinkRun]
+)
+
+func (p *runPool[T]) get() *T {
+	if r, ok := p.p.Get().(*T); ok {
+		return r
+	}
+	return new(T)
+}
+
+func (p *runPool[T]) put(r *T, k *machineRun) {
+	if len(k.pool.free) <= maxPooledJobs {
+		p.p.Put(r)
+	}
+}
+
+// resize returns s at length n. An array with room is kept, and with it
+// its elements' queue storage and callbacks; otherwise a new one is made
+// and bind binds each element's callbacks, once.
+func resize[T any](s []T, n int, bind func(i int, e *T)) []T {
+	if cap(s) < n {
+		s = make([]T, n)
+		for i := range s {
+			bind(i, &s[i])
+		}
+	}
+	return s[:n]
+}
 
 // machinePolicy is the per-system half of a scheduling run. The kernel
 // calls it from the arrival path; everything after admission — worker
@@ -241,19 +290,25 @@ func (k *machineRun) attach(eng *sim.Engine, cfg RunConfig, pol machinePolicy, r
 	k.pol = pol
 }
 
-// init assembles the substrate for a standalone run: attach on a fresh
-// engine, plus the machine's own arrival pump. The caller materializes
-// the stream itself — via cfg.Stream, handing it the RNG stream of its
-// choice — so the per-machine RNG draw order, which fixes the whole
-// trajectory, is explicit in the machine's code, not hidden in the
-// kernel. For a closed-loop stream, init also wires the retirement
-// feedback: completions report through the job pool's return hook,
-// drops through inject.
+// init assembles the substrate for a standalone run: attach on the
+// run's own engine (reset), plus the machine's arrival pump. The caller
+// materializes the stream itself — via cfg.Stream, handing it the RNG
+// stream of its choice — so the per-machine RNG draw order, which fixes
+// the whole trajectory, is explicit in the machine's code, not hidden in
+// the kernel. For a closed-loop stream, init also wires the retirement
+// feedback: completions report through the job pool's return hook, drops
+// through inject.
 func (k *machineRun) init(cfg RunConfig, pol machinePolicy, stream *workload.Stream, rxLimit, lanes int) {
-	k.attach(sim.New(), cfg, pol, rxLimit, lanes)
+	if k.eng == nil {
+		k.eng = sim.New()
+	}
+	k.eng.Reset()
+	k.attach(k.eng, cfg, pol, rxLimit, lanes)
+	// Only the freelist survives: the last run's hooks would chain in.
+	k.pool = jobPool{free: k.pool.free}
+	k.onDrop, k.feedback = nil, stream.ClosedLoop()
 	k.pump = NewPump(k.eng, stream, cfg.Duration, k.inject)
-	if stream.ClosedLoop() {
-		k.feedback = true
+	if k.feedback {
 		prev := k.pool.onPut
 		k.pool.onPut = func(j *job) {
 			if prev != nil {
@@ -273,14 +328,21 @@ func (k *machineRun) bind(system string, workers int, rtt sim.Time) {
 }
 
 // run drives a standalone simulation: prime the arrival pump, execute
-// to drain, and collect the Result.
+// to drain, collect the Result, and release the struct for its pool.
 func (k *machineRun) run(system string, rtt sim.Time) *Result {
 	k.bind(system, k.workers, rtt)
 	k.pump.Start()
 	k.eng.Run()
 	res := k.met.result(system, rtt)
 	res.Events = k.eng.Executed()
+	k.release()
 	return res
+}
+
+// release drops what the Result or caller owns — config and recorder,
+// metrics, admission gate, pump — so a pooled struct holds storage only.
+func (k *machineRun) release() {
+	k.cfg, k.met, k.adm, k.pump, k.pol = RunConfig{}, nil, nil, nil, nil
 }
 
 // inject models the request hitting the NIC RX stage: steer to an RX

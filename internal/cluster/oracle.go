@@ -61,19 +61,21 @@ type oracleRun struct {
 	timers genTimers
 }
 
-func (o *Oracle) newRun(cfg RunConfig) *oracleRun {
-	r := &oracleRun{
-		m:     o,
-		rank:  newRanker(pifo.SRPT, cfg),
-		cores: make([]oracleCore, o.Workers),
-	}
+// newRun fills r, zero or recycled; only storage survives a recycling.
+func (o *Oracle) newRun(r *oracleRun, cfg RunConfig) {
+	r.m = o
+	r.rank = newRanker(pifo.SRPT, cfg)
+	r.queue.Reset()
+	r.cores = resize(r.cores, o.Workers, func(int, *oracleCore) {}) // no callbacks: genTimers carries them
+	clear(r.cores)
 	r.timers.fire = r.sliceEnd
-	return r
 }
 
 // Run implements Machine.
 func (o *Oracle) Run(cfg RunConfig) *Result {
-	r := o.newRun(cfg)
+	r := oracleRuns.get()
+	defer oracleRuns.put(r, &r.machineRun)
+	o.newRun(r, cfg)
 	// The oracle has no bounded RX stage (limit 0): an optimality
 	// baseline that shed load would bound nothing.
 	r.init(cfg, r, cfg.Stream(rng.New(cfg.Seed)), 0, 1)
@@ -83,7 +85,8 @@ func (o *Oracle) Run(cfg RunConfig) *Result {
 // NewNode binds the machine to a shared engine as a cluster Node (the
 // rack-fleet form; see Entry.NewNode).
 func (o *Oracle) NewNode(eng *sim.Engine, cfg RunConfig) Node {
-	r := o.newRun(cfg)
+	r := new(oracleRun)
+	o.newRun(r, cfg)
 	r.attach(eng, cfg, r, 0, 1)
 	r.bind(o.Name(), o.Workers, 0)
 	return r

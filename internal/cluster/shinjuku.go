@@ -89,7 +89,7 @@ type sjWorker struct {
 	current *job
 	started sim.Time // when the current dispatch began running
 	// interrupted is the preempted job sitting out the interrupt
-	// overhead; onResume (bound once per run) requeues it. The worker is
+	// overhead; onResume (bound once) requeues it. The worker is
 	// neither idle nor busy meanwhile, so there is at most one.
 	interrupted *job
 	onResume    func() // r.resume(w)
@@ -112,7 +112,7 @@ type sjRun struct {
 	schedOps core.FIFO[dispOp]
 	netOps   core.FIFO[dispOp]
 	dispBusy bool
-	// serving is the one op in service; onServed (bound once per run)
+	// serving is the one op in service; onServed (bound per run)
 	// applies it when its cost has elapsed.
 	serving  dispOp
 	onServed func() // r.served()
@@ -233,34 +233,40 @@ func (s *Shinjuku) RunMeasured(cfg RunConfig) (*Result, stats.RunningMean) {
 	return s.run(cfg)
 }
 
-func (s *Shinjuku) newRun() *sjRun {
-	r := &sjRun{
-		m:       s,
-		workers: make([]sjWorker, s.P.Workers),
-	}
+// newRun fills r, zero or recycled; only storage survives a recycling.
+func (s *Shinjuku) newRun(r *sjRun) {
+	r.m = s
+	r.queue.Reset()
+	r.schedOps.Reset()
+	r.netOps.Reset()
+	r.dispBusy, r.serving = false, dispOp{}
 	r.onServed = r.served
 	r.timers.fire = r.onTimer
+	r.achieved = stats.RunningMean{}
+	r.workers = resize(r.workers, s.P.Workers, func(w int, wk *sjWorker) { wk.onResume = func() { r.resume(w) } })
+	r.idle = r.idle[:0]
 	for w := range r.workers {
+		r.workers[w] = sjWorker{onResume: r.workers[w].onResume}
 		r.idle = append(r.idle, w)
-		r.workers[w].onResume = func() { r.resume(w) }
 	}
-	return r
 }
 
 func (s *Shinjuku) run(cfg RunConfig) (*Result, stats.RunningMean) {
-	r := s.newRun()
+	r := sjRuns.get()
+	defer sjRuns.put(r, &r.machineRun) // after the return values copy r.achieved
+	s.newRun(r)
 	// A saturated dispatcher drops packets at the RX ring. The ring
 	// holds incoming requests only — outgoing responses use their own
 	// TX descriptors.
 	r.init(cfg, r, cfg.Stream(rng.New(cfg.Seed)), s.P.RXQueue, 1)
-	res := r.run(s.Name(), s.P.RTT)
-	return res, r.achieved
+	return r.run(s.Name(), s.P.RTT), r.achieved
 }
 
 // NewNode binds the machine to a shared engine as a cluster Node (the
 // rack-fleet form; see Entry.NewNode).
 func (s *Shinjuku) NewNode(eng *sim.Engine, cfg RunConfig) Node {
-	r := s.newRun()
+	r := new(sjRun)
+	s.newRun(r)
 	r.attach(eng, cfg, r, s.P.RXQueue, 1)
 	r.bind(s.Name(), s.P.Workers, s.P.RTT)
 	return r

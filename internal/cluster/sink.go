@@ -40,7 +40,9 @@ func (s *Sink) Name() string { return "sink" }
 // arrival-side bookkeeping (Offered, Events); no completions are
 // recorded because the sink does no work.
 func (s *Sink) Run(cfg RunConfig) *Result {
-	r := &sinkRun{s: s}
+	r := sinkRuns.get()
+	defer sinkRuns.put(r, &r.machineRun)
+	r.s = s
 	r.init(cfg, r, cfg.Stream(rng.New(cfg.Seed)), 0, 1)
 	return r.run(s.Name(), 0)
 }

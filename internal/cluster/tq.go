@@ -134,7 +134,7 @@ type tqWorker struct {
 	idle     int              // idle coroutine count
 	running  bool
 	// The one in-flight quantum: step stages it here and schedules
-	// onEnd, which is bound once per run — a worker executes one quantum
+	// onEnd, which is bound once — a worker executes one quantum
 	// at a time, so one slot per worker carries what a closure per
 	// quantum used to capture.
 	cur   *job
@@ -173,16 +173,8 @@ type tqRun struct {
 	tracker *core.LoadTracker
 	bal     core.Balancer
 
-	// Dispatcher serial-server state, one entry per dispatcher core:
-	// busyUntil is when that dispatcher frees up. Requests in service
-	// wait in dispQ and each schedules the core's one bound callback,
-	// onDisp, at its hand-off instant: busyUntil never decreases and the
-	// engine is FIFO at equal timestamps, so the callbacks fire in queue
-	// order and each pops its own request.
-	dispBusyUntil []sim.Time
-	dispQ         []core.FIFO[*job]
-	onDisp        []func() // r.handOff(d)
-	rss           core.RSS
+	disp []tqDispatcher // the dispatcher cores
+	rss  core.RSS
 	// lastRefresh is when the dispatcher last read the worker counters;
 	// its load view is stale by up to StatsPeriod (§4's periodic reads).
 	lastRefresh sim.Time
@@ -190,6 +182,17 @@ type tqRun struct {
 	// achieved accumulates realized preemption intervals (full quanta
 	// plus the yield switch), for the Figure 16 accuracy measurement.
 	achieved stats.RunningMean
+}
+
+// tqDispatcher is one dispatcher core: busyUntil is when it frees up.
+// Requests in service wait in q and each schedules the core's one bound
+// callback, onHandOff, at its hand-off instant: busyUntil never
+// decreases and the engine is FIFO at equal timestamps, so the callbacks
+// fire in queue order and each pops its own request.
+type tqDispatcher struct {
+	busyUntil sim.Time
+	q         core.FIFO[*job]
+	onHandOff func() // r.handOff(d)
 }
 
 // Run implements Machine.
@@ -205,22 +208,22 @@ func (t *TQ) RunMeasured(cfg RunConfig) (*Result, stats.RunningMean) {
 	return t.run(cfg)
 }
 
-// newRun builds the run struct and the workload generator. The RNG
-// draw order here is part of the machine's identity: balancer splits
-// first, then the workload generator's split — node construction keeps
-// the generator draw (and discards it) so both forms see the same
-// per-seed stream layout.
-func (t *TQ) newRun(cfg RunConfig) (*tqRun, *workload.Stream) {
-	r := &tqRun{
-		m:       t,
-		rand:    rng.New(cfg.Seed),
-		rank:    newRanker(parseDiscipline(t.P.Discipline, pifo.RR), cfg),
-		workers: make([]tqWorker, t.P.Workers),
-		tracker: core.NewLoadTracker(t.P.Workers, 32),
-	}
+// newRun fills r — zero, or recycled from any TQ variant's run — and
+// returns the workload generator. The RNG draw order here is part of
+// the machine's identity: balancer splits first, then the workload
+// generator's split — node construction keeps the generator draw (and
+// discards it) so both forms see the same per-seed stream layout.
+func (t *TQ) newRun(r *tqRun, cfg RunConfig) *workload.Stream {
+	r.m = t
+	r.rand = rng.New(cfg.Seed)
+	r.rank = newRanker(parseDiscipline(t.P.Discipline, pifo.RR), cfg)
+	r.tracker = core.NewLoadTracker(t.P.Workers, 32)
+	r.workers = resize(r.workers, t.P.Workers, func(w int, wk *tqWorker) { wk.onEnd = func() { r.quantumEnd(w) } })
 	for w := range r.workers {
-		r.workers[w].idle = t.P.Coroutines
-		r.workers[w].onEnd = func() { r.quantumEnd(w) }
+		wk := &r.workers[w]
+		wk.runnable.Reset()
+		wk.waiting.Reset()
+		*wk = tqWorker{runnable: wk.runnable, waiting: wk.waiting, idle: t.P.Coroutines, onEnd: wk.onEnd}
 	}
 	switch t.P.Balancer {
 	case BalanceJSQMSQ:
@@ -236,32 +239,30 @@ func (t *TQ) newRun(cfg RunConfig) (*tqRun, *workload.Stream) {
 	}
 	gen := cfg.Stream(r.rand.Split())
 	r.lastRefresh = -t.P.StatsPeriod // force a refresh on first dispatch
-	nDisp := t.P.Dispatchers
-	if nDisp <= 0 {
-		nDisp = 1
+	r.disp = resize(r.disp, max(t.P.Dispatchers, 1), func(d int, dp *tqDispatcher) { dp.onHandOff = func() { r.handOff(d) } })
+	for d := range r.disp {
+		r.disp[d].q.Reset()
+		r.disp[d].busyUntil = 0
 	}
-	r.dispBusyUntil = make([]sim.Time, nDisp)
-	r.dispQ = make([]core.FIFO[*job], nDisp)
-	r.onDisp = make([]func(), nDisp)
-	for d := range r.onDisp {
-		r.onDisp[d] = func() { r.handOff(d) }
-	}
-	return r, gen
+	r.achieved = stats.RunningMean{}
+	return gen
 }
 
 func (t *TQ) run(cfg RunConfig) (*Result, stats.RunningMean) {
-	r, gen := t.newRun(cfg)
-	r.init(cfg, r, gen, t.P.RXQueue, len(r.dispBusyUntil))
-	res := r.run(t.name, t.P.RTT)
-	return res, r.achieved
+	r := tqRuns.get()
+	defer tqRuns.put(r, &r.machineRun) // after the return values copy r.achieved
+	gen := t.newRun(r, cfg)
+	r.init(cfg, r, gen, t.P.RXQueue, len(r.disp))
+	return r.run(t.name, t.P.RTT), r.achieved
 }
 
 // NewNode binds the machine to a shared engine as a cluster Node (the
 // rack-fleet form; see Entry.NewNode). The node draws no arrivals of
 // its own — the embedding layer injects them.
 func (t *TQ) NewNode(eng *sim.Engine, cfg RunConfig) Node {
-	r, _ := t.newRun(cfg)
-	r.attach(eng, cfg, r, t.P.RXQueue, len(r.dispBusyUntil))
+	r := new(tqRun)
+	t.newRun(r, cfg)
+	r.attach(eng, cfg, r, t.P.RXQueue, len(r.disp))
 	r.bind(t.name, t.P.Workers, t.P.RTT)
 	return r
 }
@@ -285,8 +286,8 @@ func (r *tqRun) refreshView() {
 // the dispatcher cores (one core in the paper's configuration; §6
 // discusses scaling them out).
 func (r *tqRun) admitLane(req workload.Request) int {
-	if len(r.dispBusyUntil) > 1 {
-		return r.rss.Steer(req.ID, len(r.dispBusyUntil))
+	if len(r.disp) > 1 {
+		return r.rss.Steer(req.ID, len(r.disp))
 	}
 	return 0
 }
@@ -307,13 +308,13 @@ func (r *tqRun) inflate(s sim.Time) sim.Time {
 //
 //simvet:hotpath
 func (r *tqRun) admit(d int, j *job) {
-	now := r.eng.Now()
-	if r.dispBusyUntil[d] < now {
-		r.dispBusyUntil[d] = now
+	dp := &r.disp[d]
+	if now := r.eng.Now(); dp.busyUntil < now {
+		dp.busyUntil = now
 	}
-	r.dispBusyUntil[d] += r.m.P.DispatchCost
-	r.dispQ[d].Push(j)
-	r.eng.At(r.dispBusyUntil[d], r.onDisp[d])
+	dp.busyUntil += r.m.P.DispatchCost
+	dp.q.Push(j)
+	r.eng.At(dp.busyUntil, dp.onHandOff)
 }
 
 // handOff is dispatcher d's bound callback: the head request's
@@ -322,7 +323,7 @@ func (r *tqRun) admit(d int, j *job) {
 //
 //simvet:hotpath
 func (r *tqRun) handOff(d int) {
-	j, _ := r.dispQ[d].Pop()
+	j, _ := r.disp[d].q.Pop()
 	r.adm.release(d, j.tenant)
 	r.dispatch(j)
 }

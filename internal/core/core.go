@@ -52,6 +52,12 @@ func (q *FIFO[T]) Pop() (T, bool) {
 	return v, true
 }
 
+// Reset empties the queue, clearing but keeping its buffer for reuse.
+func (q *FIFO[T]) Reset() {
+	clear(q.buf)
+	q.head, q.size = 0, 0
+}
+
 // Peek returns the head without removing it.
 func (q *FIFO[T]) Peek() (T, bool) {
 	var zero T

@@ -90,6 +90,37 @@ func TestFIFOWraparoundGrowth(t *testing.T) {
 	}
 }
 
+// TestFIFOReset: a reset queue keeps its buffer, holds none of the old
+// elements, and behaves like an empty one from a wrapped-around head.
+func TestFIFOReset(t *testing.T) {
+	var q FIFO[*int]
+	for i := 0; i < 12; i++ {
+		q.Push(new(int))
+	}
+	for i := 0; i < 5; i++ {
+		q.Pop()
+	}
+	buf := len(q.buf)
+	q.Reset()
+	if q.Len() != 0 || len(q.buf) != buf {
+		t.Fatalf("after Reset: Len %d, buffer %d; want 0 and the kept %d", q.Len(), len(q.buf), buf)
+	}
+	for i, p := range q.buf {
+		if p != nil {
+			t.Fatalf("slot %d still holds an element after Reset", i)
+		}
+	}
+	want := []int{1, 2, 3}
+	for i := range want {
+		q.Push(&want[i])
+	}
+	for i := range want {
+		if v, ok := q.Pop(); !ok || v != &want[i] {
+			t.Fatalf("pop %d after Reset: got %v, want element %d", i, v, i)
+		}
+	}
+}
+
 func TestLASQueueOrdering(t *testing.T) {
 	var q LASQueue[string]
 	q.Push("c", 30)

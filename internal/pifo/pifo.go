@@ -80,6 +80,13 @@ func (q *Queue[T]) Pop() (T, int64, bool) {
 	return top.v, top.rank, true
 }
 
+// Reset empties the queue and restarts its tie-break sequence: a zero
+// queue in all but the backing array, which it keeps.
+func (q *Queue[T]) Reset() {
+	clear(q.items)
+	q.items, q.seq = q.items[:0], 0
+}
+
 // Peek returns the minimum-rank element and its rank without removing
 // it. The last result is false if the queue is empty.
 func (q *Queue[T]) Peek() (T, int64, bool) {

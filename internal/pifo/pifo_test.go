@@ -97,6 +97,33 @@ func TestQueuePeek(t *testing.T) {
 	}
 }
 
+// TestQueueReset: a reset queue keeps its array, holds none of the old
+// elements, and is a zero queue in every other respect — its tie-break
+// sequence restarts, so a recycled queue's state matches a fresh one's.
+func TestQueueReset(t *testing.T) {
+	var q Queue[*int]
+	for i := 0; i < 9; i++ {
+		q.Push(new(int), int64(i%3))
+	}
+	q.Pop()
+	c := cap(q.items)
+	q.Reset()
+	if q.Len() != 0 || cap(q.items) != c || q.seq != 0 {
+		t.Fatalf("after Reset: Len %d, cap %d, seq %d; want 0, the kept %d, 0", q.Len(), cap(q.items), q.seq, c)
+	}
+	for i, it := range q.items[:c] {
+		if it.v != nil {
+			t.Fatalf("slot %d still holds an element after Reset", i)
+		}
+	}
+	a, b := new(int), new(int)
+	q.Push(a, 4)
+	q.Push(b, 4)
+	if v, _, _ := q.Pop(); v != a {
+		t.Fatal("ties after Reset did not pop in push order")
+	}
+}
+
 // TestDisciplineRanks pins each discipline's rank function on one set
 // of inputs — the policy table as a truth table.
 func TestDisciplineRanks(t *testing.T) {

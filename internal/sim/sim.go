@@ -97,6 +97,18 @@ type Engine struct {
 // New returns a fresh engine at time zero.
 func New() *Engine { return &Engine{} }
 
+// Reset returns the engine to New's state but keeps the queue's storage
+// (64 KB ring, node pool, far heap) for the next run, with the dropped
+// events' closures cleared; a slot is read only while its bit is set.
+func (e *Engine) Reset() {
+	w := &e.wheel
+	clear(w.nodes)
+	clear(w.far.heap)
+	w.nodes, w.free, w.far.heap = w.nodes[:0], 0, w.far.heap[:0]
+	w.occupied, w.cur, w.near = [ringWords]uint64{}, 0, 0
+	e.now, e.seq, e.executed, e.halted = 0, 0, 0, false
+}
+
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 

@@ -123,8 +123,26 @@ func (d *differential) delayFor(b byte) Time {
 	}
 }
 
-// applyOps interprets a byte string as a schedule/drain interleaving
-// and checks wheel/heap equivalence after every step.
+// reset drops everything pending in both queues — first adding a near,
+// a far and a same-instant pair, so there is always something of each
+// tier to drop — and rewinds both to time zero and seq zero, as a
+// recycled machine run resets its engine between runs.
+func (d *differential) reset() {
+	d.schedule(1)
+	d.schedule(4 * ringSlots)
+	d.schedule(0)
+	d.schedule(0)
+	d.e.Reset()
+	d.h, d.hseq, d.aim = eventHeap{}, 0, 0
+	d.fired = d.fired[:0]
+	d.compare(nil)
+	if d.e.Now() != 0 || d.e.Executed() != 0 {
+		d.t.Fatalf("reset engine at %v having executed %d, want 0 and 0", d.e.Now(), d.e.Executed())
+	}
+}
+
+// applyOps interprets a byte string as a schedule/drain/reset
+// interleaving and checks wheel/heap equivalence after every step.
 func applyOps(t *testing.T, ops []byte, seed uint64) {
 	d := newDifferential(t, seed)
 	for _, op := range ops {
@@ -138,6 +156,8 @@ func applyOps(t *testing.T, ops []byte, seed uint64) {
 			d.runUntil(d.e.Now() + d.delayFor(op))
 		case op < 220: // zero-width drain: deadline == now
 			d.runUntil(d.e.Now())
+		case op < 228: // reset mid-schedule
+			d.reset()
 		default: // full drain
 			d.drain()
 		}
@@ -164,6 +184,7 @@ func FuzzWheelVsHeap(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 230, 159, 159, 201, 240}, uint64(7))
 	f.Add([]byte{155, 165, 155, 175, 155, 185, 240}, uint64(42))
 	f.Add([]byte{9, 210, 9, 210, 9, 240}, uint64(0xC0FFEE))
+	f.Add([]byte{155, 170, 3, 224, 155, 185, 221, 9, 240}, uint64(27))
 	f.Fuzz(func(t *testing.T, ops []byte, seed uint64) {
 		if len(ops) > 512 {
 			ops = ops[:512]
@@ -308,6 +329,73 @@ func TestPoppedNodeReleasesClosure(t *testing.T) {
 	}
 	waitFreed(t, freed, "live pool")
 	runtime.KeepAlive(e)
+}
+
+// TestResetReleasesClosures: the events a reset drops, near and far,
+// must not stay reachable from the storage it keeps.
+func TestResetReleasesClosures(t *testing.T) {
+	e := New()
+	nearFreed, farFreed := make(chan struct{}), make(chan struct{})
+	scheduleRetainable(e, 64, 1000, nearFreed)
+	scheduleRetainable(e, 64, 1<<20, farFreed)
+	e.Reset()
+	if cap(e.wheel.nodes) == 0 || cap(e.wheel.far.heap) == 0 {
+		t.Fatal("reset released the queue's storage; want it kept for the next run")
+	}
+	waitFreed(t, nearFreed, "reset engine, near tier")
+	waitFreed(t, farFreed, "reset engine, far tier")
+	runtime.KeepAlive(e)
+}
+
+// TestResetEngineBehavesLikeNew leaves an engine in every state a run
+// can end in — events queued in both tiers behind a halted Run and a
+// RunUntil, the clock past zero, a halt pending with no loop to consume
+// it — resets it, and drives it and a New engine through one script:
+// both must fire the same events at the same instants and end in the
+// same state, seq included.
+func TestResetEngineBehavesLikeNew(t *testing.T) {
+	used := New()
+	for i := Time(0); i < 8; i++ {
+		used.At(100*i, func() {})
+		used.At(3*ringSlots+i, func() {})
+		used.At(500, func() {})
+	}
+	used.At(300, used.Halt)
+	used.Run() // halts at 300
+	used.RunUntil(ringSlots)
+	if used.Pending() == 0 || used.wheel.far.len() == 0 {
+		t.Fatalf("want events left queued in the far tier, pending %d far %d", used.Pending(), used.wheel.far.len())
+	}
+	used.Halt()
+	used.Reset()
+
+	script := func(e *Engine) []string {
+		var log []string
+		mark := func(tag string) func() {
+			return func() { log = append(log, tag+"@"+e.Now().String()) }
+		}
+		e.At(0, mark("a"))
+		e.At(0, mark("b"))
+		e.At(ringSlots+5, mark("far"))
+		e.After(70, func() {
+			mark("c")()
+			e.After(0, mark("d"))
+			e.After(2*ringSlots, mark("far2"))
+		})
+		e.RunUntil(1000)
+		e.At(ringSlots+5, mark("tie"))
+		e.Run()
+		return log
+	}
+	fresh := New()
+	got, want := script(used), script(fresh)
+	if !slices.Equal(got, want) {
+		t.Fatalf("reset engine fired %v, new engine %v", got, want)
+	}
+	if used.Now() != fresh.Now() || used.Executed() != fresh.Executed() || used.seq != fresh.seq || used.Pending() != 0 {
+		t.Fatalf("reset engine ended at %v/%d events/seq %d, new engine at %v/%d/%d",
+			used.Now(), used.Executed(), used.seq, fresh.Now(), fresh.Executed(), fresh.seq)
+	}
 }
 
 // TestWheelShrinkPolicy checks that a one-off burst does not pin its
